@@ -2,15 +2,18 @@
 //!
 //! Fixtures under `tests/golden/` snapshot the Figure 4–9 and §5
 //! summary ("Table 5") numbers produced by the serial harness path at
-//! the quick test configuration. These tests pin the determinism
-//! contract from two directions:
+//! the quick test configuration, plus the CSVs of the six extension
+//! studies (ablation, energy, sensitivity, asymmetry sweep, staggered
+//! arrivals, fault injection). These tests pin the determinism contract
+//! from three directions:
 //!
 //! 1. the plain serial path (`Harness::mix`, figure by figure) must
 //!    still produce the snapshotted bytes — a regression gate on the
 //!    simulator and schedulers themselves;
 //! 2. the parallel sweep executor must reproduce the same bytes
 //!    bit-identically at `--jobs 1`, `2`, and `8`, with the figures
-//!    afterwards served entirely from the prewarmed cache.
+//!    afterwards served entirely from the prewarmed cache;
+//! 3. every extension study must still produce its snapshotted CSV.
 //!
 //! Regenerate after an intentional behaviour change with:
 //!
@@ -40,6 +43,21 @@ fn render_all(h: &mut Harness) -> Vec<(&'static str, String)> {
         ("fig8.csv", report::group_figure_csv(&experiments::figure8(h).unwrap())),
         ("fig9.csv", report::group_figure_csv(&experiments::figure9(h).unwrap())),
         ("summary.csv", report::summary_csv(&experiments::summary(h).unwrap())),
+    ]
+}
+
+/// Renders the six extension studies' CSVs, in fixture order.
+fn render_studies(h: &mut Harness) -> Vec<(&'static str, String)> {
+    vec![
+        ("ablation.csv", report::ablation_csv(&experiments::ablation(h).unwrap())),
+        ("energy.csv", report::energy_csv(&experiments::energy(h).unwrap())),
+        ("sensitivity.csv", report::sensitivity_csv(&experiments::sensitivity(h).unwrap())),
+        (
+            "freqsweep.csv",
+            report::frequency_sweep_csv(&experiments::frequency_sweep(h).unwrap()),
+        ),
+        ("staggered.csv", report::staggered_csv(&experiments::staggered(h).unwrap())),
+        ("faults.csv", report::faults_csv(&experiments::faults(h).unwrap())),
     ]
 }
 
@@ -90,6 +108,13 @@ fn serial_path_matches_golden_fixtures() {
 }
 
 #[test]
+fn extension_studies_match_golden_fixtures() {
+    let mut h = quick_harness();
+    let rendered = render_studies(&mut h);
+    assert_matches_golden(&rendered, "extension studies");
+}
+
+#[test]
 fn parallel_executor_reproduces_golden_at_jobs_1_2_8() {
     let plan = golden_plan();
     for jobs in [1usize, 2, 8] {
@@ -107,7 +132,8 @@ fn parallel_executor_reproduces_golden_at_jobs_1_2_8() {
     }
 }
 
-/// Not a test: rewrites the fixtures from the serial path. Run with
+/// Not a test: rewrites the fixtures from the serial path and the
+/// extension studies. Run with
 /// `cargo test --test golden_sweep -- --ignored regenerate`.
 #[test]
 #[ignore = "fixture regenerator, run explicitly"]
@@ -115,7 +141,9 @@ fn regenerate() {
     let dir = golden_dir();
     std::fs::create_dir_all(&dir).expect("golden dir creatable");
     let mut h = quick_harness();
-    for (name, contents) in render_all(&mut h) {
+    let mut rendered = render_all(&mut h);
+    rendered.extend(render_studies(&mut h));
+    for (name, contents) in rendered {
         std::fs::write(dir.join(name), contents).expect("fixture written");
         eprintln!("wrote {}", dir.join(name).display());
     }

@@ -1,10 +1,18 @@
 //! Regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [--scale F] [--heuristic-model] [--jobs N] [--table2|--table3|--table4]
-//!       [--fig4|--fig5|--fig6|--fig7|--fig8|--fig9] [--summary]
-//!       [--ablation] [--faults] [--all] [--csv DIR] [--trace-json DIR]
+//! repro [--scale F] [--heuristic-model] [--jobs N] [--reps N]
+//!       [--csv DIR] [--trace-json DIR] [--bench-json FILE] [TARGET...]
+//!
+//! TARGET is one of
+//!   --all  --fig4 --fig5 --fig6 --fig7 --fig8 --fig9  --summary  --check
+//!   --table1 --table2 --table3 --table4  --ablation  --energy
+//!   --sensitivity  --fairness  --freqsweep  --staggered  --faults
 //! ```
+//!
+//! Any other argument is an error: `repro` prints the usage and exits
+//! non-zero without building a harness. `--help` (`-h`) prints the usage
+//! and exits 0.
 //!
 //! With no selection flags, `--all` is assumed. `--scale` shrinks the
 //! workloads (default 1.0, the calibrated full size); the shapes are
@@ -37,6 +45,21 @@ use amp_workloads::{BenchmarkId, WorkloadSpec};
 use colab::experiments;
 use colab::SchedulerKind;
 
+/// Printed by `--help` and after any argument error.
+const USAGE: &str = "\
+usage: repro [--scale F] [--heuristic-model] [--jobs N] [--reps N]
+             [--csv DIR] [--trace-json DIR] [--bench-json FILE] [TARGET...]
+
+TARGET is one of
+  --all  --fig4 --fig5 --fig6 --fig7 --fig8 --fig9  --summary  --check
+  --table1 --table2 --table3 --table4  --ablation  --energy
+  --sensitivity  --fairness  --freqsweep  --staggered  --faults
+With no TARGET, --csv, --trace-json or --bench-json, --all is assumed.";
+
+/// Every target `main` consumes.
+const TARGETS: &str = "all fig4 fig5 fig6 fig7 fig8 fig9 summary check table1 table2 table3 \
+                       table4 ablation energy sensitivity fairness freqsweep staggered faults";
+
 struct Options {
     scale: f64,
     train: bool,
@@ -52,7 +75,8 @@ fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-fn parse_args() -> Result<Options, String> {
+/// Parses the command line; `Ok(None)` means `--help`.
+fn parse_args() -> Result<Option<Options>, String> {
     let mut scale = 1.0;
     let mut train = true;
     let mut targets = Vec::new();
@@ -100,15 +124,20 @@ fn parse_args() -> Result<Options, String> {
                 }
             }
             "--heuristic-model" => train = false,
-            "--all" => targets.push("all".into()),
-            flag if flag.starts_with("--") => targets.push(flag[2..].to_string()),
+            "--help" | "-h" => return Ok(None),
+            flag if flag
+                .strip_prefix("--")
+                .is_some_and(|t| TARGETS.split_whitespace().any(|known| known == t)) =>
+            {
+                targets.push(flag[2..].to_string());
+            }
             other => return Err(format!("unrecognized argument {other}")),
         }
     }
     if targets.is_empty() && csv_dir.is_none() && trace_dir.is_none() && bench_json.is_none() {
         targets.push("all".into());
     }
-    Ok(Options {
+    Ok(Some(Options {
         scale,
         train,
         replications,
@@ -117,14 +146,14 @@ fn parse_args() -> Result<Options, String> {
         csv_dir,
         trace_dir,
         bench_json,
-    })
+    }))
 }
 
 /// Plans every memoizable experiment cell the selected targets will
 /// consume, so the sweep executor can prewarm the harness caches in
-/// parallel. Targets that bypass the memo caches (energy, staggered,
-/// sensitivity, freqsweep, the ablation variants) run serially as
-/// before; the plan is identical for every `--jobs` value, which is what
+/// parallel. The extension studies' own runs (energy, staggered,
+/// sensitivity, freqsweep, faults, the ablation variants) run serially
+/// after it; the plan is identical for every `--jobs` value, which is what
 /// keeps output byte-identical across job counts.
 fn build_plan(options: &Options, wants: impl Fn(&str) -> bool) -> colab::SweepPlan {
     let mut plan = colab::SweepPlan::new();
@@ -165,9 +194,13 @@ fn export_chrome_traces(dir: &std::path::Path, scale: f64) -> Result<Vec<String>
 
 fn main() -> ExitCode {
     let options = match parse_args() {
-        Ok(o) => o,
+        Ok(Some(o)) => o,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: {e}\n\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId as CriterionId, Cri
 
 use amp_perf::SpeedupModel;
 use amp_sched::{ColabConfig, ColabScheduler};
-use amp_sim::Simulation;
+use amp_sim::{SimParams, Simulation};
 use amp_types::{CoreOrder, MachineConfig, SimTime};
 use amp_workloads::{PaperWorkload, Scale, WorkloadClass};
 
@@ -31,8 +31,13 @@ fn bench_variants(c: &mut Criterion) {
     for (label, config) in variants {
         group.bench_with_input(CriterionId::from_parameter(label), &config, |b, &config| {
             b.iter(|| {
-                let sim = Simulation::build_scaled(&machine, &spec, 42, Scale::new(0.25))
-                    .expect("workload builds");
+                let sim = Simulation::from_apps_with_params(
+                    &machine,
+                    spec.instantiate(42, Scale::new(0.25)),
+                    42,
+                    SimParams::default(),
+                )
+                .expect("workload builds");
                 let mut sched = ColabScheduler::with_config(&machine, model.clone(), config);
                 let outcome = sim.run(&mut sched).expect("simulation completes");
                 assert!(outcome.makespan > SimTime::ZERO);

@@ -208,8 +208,13 @@ fn bench_engine_events(c: &mut Criterion) {
     for kind in colab::SchedulerKind::EXTENDED {
         group.bench_with_input(CriterionId::from_parameter(kind.name()), &kind, |b, &kind| {
             b.iter(|| {
-                let sim = Simulation::build_scaled(&machine, &spec, 42, Scale::quick())
-                    .expect("workload builds");
+                let sim = Simulation::from_apps_with_params(
+                    &machine,
+                    spec.instantiate(42, Scale::quick()),
+                    42,
+                    SimParams::default(),
+                )
+                .expect("workload builds");
                 let mut sched = kind.create(&machine, &model);
                 let outcome = sim.run(sched.as_mut()).expect("simulation completes");
                 black_box(outcome.events_processed)
@@ -237,8 +242,13 @@ fn bench_full_mix(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("colab", |b| {
         b.iter(|| {
-            let sim = Simulation::build_scaled(&machine, &spec, 42, Scale::new(0.25))
-                .expect("workload builds");
+            let sim = Simulation::from_apps_with_params(
+                &machine,
+                spec.instantiate(42, Scale::new(0.25)),
+                42,
+                SimParams::default(),
+            )
+            .expect("workload builds");
             let mut sched = colab::SchedulerKind::Colab.create(&machine, &model);
             let outcome = sim.run(sched.as_mut()).expect("simulation completes");
             black_box(outcome.makespan)

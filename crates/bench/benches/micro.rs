@@ -10,7 +10,7 @@ use amp_futex::{FutexKey, FutexTable};
 use amp_perf::{ExecutionProfile, SpeedupModel};
 use amp_rbtree::RbTree;
 use amp_sched::{CfsScheduler, ColabScheduler, GtsScheduler, WashScheduler};
-use amp_sim::Simulation;
+use amp_sim::{SimParams, Simulation};
 use amp_types::{CoreKind, CoreOrder, MachineConfig, SimTime, ThreadId};
 use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
 
@@ -68,8 +68,13 @@ fn bench_sim_throughput(c: &mut Criterion) {
     for which in ["linux", "gts", "wash", "colab"] {
         group.bench_with_input(CriterionId::from_parameter(which), &which, |b, &which| {
             b.iter(|| {
-                let sim = Simulation::build_scaled(&machine, &spec, 42, Scale::new(0.25))
-                    .expect("workload builds");
+                let sim = Simulation::from_apps_with_params(
+                    &machine,
+                    spec.instantiate(42, Scale::new(0.25)),
+                    42,
+                    SimParams::default(),
+                )
+                .expect("workload builds");
                 let outcome = match which {
                     "linux" => sim.run(&mut CfsScheduler::new(&machine)),
                     "gts" => sim.run(&mut GtsScheduler::new(&machine)),

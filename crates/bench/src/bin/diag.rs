@@ -13,11 +13,11 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use amp_perf::SpeedupModel;
-use amp_sim::Simulation;
+use amp_sim::SimParams;
 use amp_types::{CoreOrder, MachineConfig};
-use amp_workloads::{PaperWorkload, Scale, WorkloadClass};
+use amp_workloads::{CompiledWorkload, PaperWorkload, Scale, WorkloadClass};
 use colab::sweep::parallel_map;
-use colab::SchedulerKind;
+use colab::{RunSpec, SchedulerKind};
 
 fn main() -> ExitCode {
     let mut jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -74,12 +74,12 @@ fn render_scheduler(
     scale: f64,
 ) -> Result<String, String> {
     let machine = MachineConfig::asymmetric(big, little, CoreOrder::BigFirst);
-    let sim = Simulation::build_scaled(&machine, spec, 42, Scale::new(scale))
-        .map_err(|e| format!("building {} workload: {e}", spec.name()))?;
-    let mut sched = kind.create(&machine, model);
-    let out = sim
-        .run(sched.as_mut())
-        .map_err(|e| format!("running {}: {e}", kind.name()))?;
+    let out = CompiledWorkload::compile(spec, 42, Scale::new(scale))
+        .and_then(|compiled| {
+            let apps = compiled.apps().to_vec();
+            RunSpec::new(machine, apps, 42, SimParams::default(), kind).simulate(model)
+        })
+        .map_err(|e| format!("running {} on {}: {e}", kind.name(), spec.name()))?;
     let mut text = String::new();
     let _ = writeln!(
         text,

@@ -19,10 +19,10 @@
 //! events (drop-oldest). Both report how much was dropped.
 
 use amp_perf::SpeedupModel;
-use amp_sim::{SimParams, Simulation};
+use amp_sim::SimParams;
 use amp_types::{CoreOrder, MachineConfig};
-use amp_workloads::{BenchmarkId, PaperWorkload, Scale, WorkloadSpec};
-use colab::SchedulerKind;
+use amp_workloads::{BenchmarkId, CompiledWorkload, PaperWorkload, Scale, WorkloadSpec};
+use colab::{RunSpec, SchedulerKind};
 
 fn resolve_workload(name: &str) -> Option<WorkloadSpec> {
     if let Some(w) = PaperWorkload::all().into_iter().find(|w| w.name() == name) {
@@ -58,16 +58,11 @@ fn main() {
         event_capacity: 1 << 16,
         ..SimParams::default()
     };
-    let apps = spec.instantiate(42, Scale::new(scale));
-    let sim = match Simulation::from_apps_with_params(&machine, apps, 42, params) {
-        Ok(sim) => sim,
-        Err(e) => {
-            eprintln!("error building {workload_name}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut sched = kind.create(&machine, &SpeedupModel::heuristic());
-    let outcome = match sim.run(sched.as_mut()) {
+    let outcome = CompiledWorkload::compile(&spec, 42, Scale::new(scale)).and_then(|compiled| {
+        let apps = compiled.apps().to_vec();
+        RunSpec::new(machine.clone(), apps, 42, params, kind).simulate(&SpeedupModel::heuristic())
+    });
+    let outcome = match outcome {
         Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("error running {} on {workload_name}: {e}", kind.name());

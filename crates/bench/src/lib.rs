@@ -5,10 +5,10 @@
 use amp_perf::SpeedupModel;
 use amp_sim::telemetry::chrome::ChromeTrace;
 use amp_sim::telemetry::SchedEvent;
-use amp_sim::{SimParams, Simulation, SimulationOutcome, TraceEvent};
+use amp_sim::{SimParams, SimulationOutcome, TraceEvent};
 use amp_types::{CoreOrder, MachineConfig, SimTime, ThreadId};
-use amp_workloads::{Scale, WorkloadSpec};
-use colab::{ExperimentConfig, Harness, SchedulerKind};
+use amp_workloads::{CompiledWorkload, Scale, WorkloadSpec};
+use colab::{ExperimentConfig, Harness, RunSpec, SchedulerKind};
 
 /// Builds a harness at the given scale, optionally with the trained
 /// Table 2 model (the full pipeline) instead of the analytic heuristic.
@@ -143,11 +143,10 @@ pub fn chrome_trace_json(spec: &WorkloadSpec, kind: SchedulerKind, scale: f64) -
         event_capacity: 1 << 16,
         ..SimParams::default()
     };
-    let apps = spec.instantiate(42, Scale::new(scale));
-    let sim = Simulation::from_apps_with_params(&machine, apps, 42, params)
-        .expect("workload builds");
-    let mut sched = kind.create(&machine, &SpeedupModel::heuristic());
-    let outcome = sim.run(sched.as_mut()).expect("simulation completes");
+    let compiled = CompiledWorkload::compile(spec, 42, Scale::new(scale)).expect("workload builds");
+    let outcome = RunSpec::new(machine.clone(), compiled.apps().to_vec(), 42, params, kind)
+        .simulate(&SpeedupModel::heuristic())
+        .expect("simulation completes");
     render_chrome_trace(&machine, &outcome)
 }
 

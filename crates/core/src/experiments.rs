@@ -9,10 +9,13 @@
 use std::fmt;
 
 use amp_metrics::geomean;
-use amp_types::Result;
-use amp_workloads::{BenchmarkId, PaperWorkload, WorkloadClass, WorkloadSpec};
+use amp_sched::ColabConfig;
+use amp_sim::{DegradationReport, FaultPlan, SimParams, SimulationOutcome};
+use amp_types::{CoreKind, CoreOrder, CoreSpec, MachineConfig, Result, SimDuration, SimTime};
+use amp_workloads::{BenchmarkId, CompiledWorkload, PaperWorkload, WorkloadClass, WorkloadSpec};
 
-use crate::harness::{Harness, SchedulerKind};
+use crate::harness::{compute_cell, Harness, SchedulerKind};
+use crate::run::{Policy, RunSpec};
 
 /// The four hardware configurations of the evaluation, `(big, little)`.
 pub const CONFIGS: [(usize, usize); 4] = [(2, 2), (2, 4), (4, 2), (4, 4)];
@@ -139,25 +142,15 @@ pub fn grouped(
     for (label, specs) in groups {
         let mut cells = Vec::with_capacity(CONFIGS.len());
         for (big, little) in CONFIGS {
-            let mut wash_antt = Vec::new();
-            let mut colab_antt = Vec::new();
-            let mut wash_stp = Vec::new();
-            let mut colab_stp = Vec::new();
-            for spec in &specs {
-                let linux = h.mix(spec, big, little, SchedulerKind::Linux)?;
-                let wash = h.mix(spec, big, little, SchedulerKind::Wash)?;
-                let colab = h.mix(spec, big, little, SchedulerKind::Colab)?;
-                wash_antt.push(wash.antt_vs(&linux));
-                colab_antt.push(colab.antt_vs(&linux));
-                wash_stp.push(wash.stp_vs(&linux));
-                colab_stp.push(colab.stp_vs(&linux));
-            }
+            let (wash_antt, wash_stp) = vs_linux(h, &specs, &[(big, little)], SchedulerKind::Wash)?;
+            let (colab_antt, colab_stp) =
+                vs_linux(h, &specs, &[(big, little)], SchedulerKind::Colab)?;
             cells.push(ConfigCell {
                 config: format!("{big}B{little}S"),
-                wash_antt: geomean(&wash_antt),
-                colab_antt: geomean(&colab_antt),
-                wash_stp: geomean(&wash_stp),
-                colab_stp: geomean(&colab_stp),
+                wash_antt,
+                colab_antt,
+                wash_stp,
+                colab_stp,
             });
         }
         let geo = |get: fn(&ConfigCell) -> f64| {
@@ -180,6 +173,32 @@ pub fn grouped(
         title: title.to_string(),
         groups: out,
     })
+}
+
+/// Geomean H_ANTT and H_STP of `kind` normalized to Linux over every
+/// workload of `specs` on every `(big, little)` machine of `configs`,
+/// from the memoized cells.
+///
+/// # Errors
+///
+/// Propagates simulation failures.
+fn vs_linux(
+    h: &mut Harness,
+    specs: &[WorkloadSpec],
+    configs: &[(usize, usize)],
+    kind: SchedulerKind,
+) -> Result<(f64, f64)> {
+    let mut antt = Vec::new();
+    let mut stp = Vec::new();
+    for spec in specs {
+        for &(big, little) in configs {
+            let linux = h.mix(spec, big, little, SchedulerKind::Linux)?;
+            let cell = h.mix(spec, big, little, kind)?;
+            antt.push(cell.antt_vs(&linux));
+            stp.push(cell.stp_vs(&linux));
+        }
+    }
+    Ok((geomean(&antt), geomean(&stp)))
 }
 
 impl fmt::Display for GroupFigure {
@@ -213,12 +232,17 @@ impl fmt::Display for GroupFigure {
     }
 }
 
-fn class_specs(class: WorkloadClass) -> Vec<WorkloadSpec> {
+/// The specs of the paper workloads that satisfy `keep`, in Table 4 order.
+fn specs_where(keep: impl Fn(PaperWorkload) -> bool) -> Vec<WorkloadSpec> {
     PaperWorkload::all()
         .into_iter()
-        .filter(|w| w.class() == class)
+        .filter(|&w| keep(w))
         .map(|w| w.spec())
         .collect()
+}
+
+fn class_specs(class: WorkloadClass) -> Vec<WorkloadSpec> {
+    specs_where(|w| w.class() == class)
 }
 
 /// Figure 5: synchronization-intensive vs non-synchronization-intensive.
@@ -273,16 +297,8 @@ pub fn figure7(h: &mut Harness) -> Result<GroupFigure> {
 ///
 /// Propagates simulation failures.
 pub fn figure8(h: &mut Harness) -> Result<GroupFigure> {
-    let low: Vec<WorkloadSpec> = PaperWorkload::all()
-        .into_iter()
-        .filter(|w| w.is_thread_low())
-        .map(|w| w.spec())
-        .collect();
-    let high: Vec<WorkloadSpec> = PaperWorkload::all()
-        .into_iter()
-        .filter(|w| w.is_thread_high())
-        .map(|w| w.spec())
-        .collect();
+    let low = specs_where(PaperWorkload::is_thread_low);
+    let high = specs_where(PaperWorkload::is_thread_high);
     grouped(
         h,
         "Figure 8 — thread-low vs thread-high workloads",
@@ -296,16 +312,8 @@ pub fn figure8(h: &mut Harness) -> Result<GroupFigure> {
 ///
 /// Propagates simulation failures.
 pub fn figure9(h: &mut Harness) -> Result<GroupFigure> {
-    let two: Vec<WorkloadSpec> = PaperWorkload::all()
-        .into_iter()
-        .filter(|w| w.num_programs() == 2)
-        .map(|w| w.spec())
-        .collect();
-    let four: Vec<WorkloadSpec> = PaperWorkload::all()
-        .into_iter()
-        .filter(|w| w.num_programs() == 4)
-        .map(|w| w.spec())
-        .collect();
+    let two = specs_where(|w| w.num_programs() == 2);
+    let four = specs_where(|w| w.num_programs() == 4);
     grouped(
         h,
         "Figure 9 — 2-programmed vs 4-programmed workloads",
@@ -338,30 +346,15 @@ pub struct Summary {
 ///
 /// Propagates simulation failures.
 pub fn summary(h: &mut Harness) -> Result<Summary> {
-    let mut wash_antt = Vec::new();
-    let mut colab_antt = Vec::new();
-    let mut wash_stp = Vec::new();
-    let mut colab_stp = Vec::new();
-    let mut experiments = 0;
-    for workload in PaperWorkload::all() {
-        let spec = workload.spec();
-        for (big, little) in CONFIGS {
-            let linux = h.mix(&spec, big, little, SchedulerKind::Linux)?;
-            let wash = h.mix(&spec, big, little, SchedulerKind::Wash)?;
-            let colab = h.mix(&spec, big, little, SchedulerKind::Colab)?;
-            experiments += 3;
-            wash_antt.push(wash.antt_vs(&linux));
-            colab_antt.push(colab.antt_vs(&linux));
-            wash_stp.push(wash.stp_vs(&linux));
-            colab_stp.push(colab.stp_vs(&linux));
-        }
-    }
+    let specs = specs_where(|_| true);
+    let (wash_antt, wash_stp) = vs_linux(h, &specs, &CONFIGS, SchedulerKind::Wash)?;
+    let (colab_antt, colab_stp) = vs_linux(h, &specs, &CONFIGS, SchedulerKind::Colab)?;
     Ok(Summary {
-        antt_vs_linux: [geomean(&wash_antt), geomean(&colab_antt)],
-        stp_vs_linux: [geomean(&wash_stp), geomean(&colab_stp)],
-        colab_antt_vs_wash: geomean(&colab_antt) / geomean(&wash_antt),
-        colab_stp_vs_wash: geomean(&colab_stp) / geomean(&wash_stp),
-        experiments,
+        antt_vs_linux: [wash_antt, colab_antt],
+        stp_vs_linux: [wash_stp, colab_stp],
+        colab_antt_vs_wash: colab_antt / wash_antt,
+        colab_stp_vs_wash: colab_stp / wash_stp,
+        experiments: specs.len() * CONFIGS.len() * 3,
     })
 }
 
@@ -396,6 +389,87 @@ impl fmt::Display for Summary {
 }
 
 // ---------------------------------------------------------------------
+// Extension studies: each is a list of runs per workload plus a reduction
+
+/// Compiles `spec` at `seed` and the harness's scale for one study loop.
+/// Study workloads bypass the harness's program store, so each is
+/// dropped when its loop ends and at most one is alive at a time.
+fn compile(h: &Harness, spec: &WorkloadSpec, seed: u64) -> Result<CompiledWorkload> {
+    CompiledWorkload::compile(spec, seed, h.config().scale)
+}
+
+/// A study run of `compiled` under `policy` on `machine`, at the
+/// harness's seed and simulator parameters.
+fn study_run(
+    h: &Harness,
+    machine: MachineConfig,
+    compiled: &CompiledWorkload,
+    policy: impl Into<Policy>,
+) -> RunSpec {
+    let (config, apps) = (h.config(), compiled.apps().to_vec());
+    RunSpec::new(machine, apps, config.seed, config.sim_params, policy)
+}
+
+/// The §5.1 core-order pair: `compiled` under `policy` on the
+/// `big`×`little` machine, once per core-enumeration order.
+fn order_pair(
+    h: &Harness,
+    compiled: &CompiledWorkload,
+    big: usize,
+    little: usize,
+    policy: impl Into<Policy> + Copy,
+) -> [RunSpec; 2] {
+    CoreOrder::BOTH.map(|order| {
+        let machine = MachineConfig::asymmetric(big, little, order);
+        study_run(h, machine, compiled, policy)
+    })
+}
+
+/// Simulates a study's runs in order, reducing each outcome with `keep`
+/// as soon as it finishes, so a study holds no more than one outcome at
+/// a time.
+fn simulate_all<T>(
+    h: &Harness,
+    runs: impl IntoIterator<Item = RunSpec>,
+    keep: impl Fn(SimulationOutcome) -> T,
+) -> Result<Vec<T>> {
+    runs.into_iter()
+        .map(|run| Ok(keep(run.simulate(h.model())?)))
+        .collect()
+}
+
+/// Each app's turnaround in seconds, in load order.
+fn turnaround_secs(outcome: SimulationOutcome) -> Vec<f64> {
+    let apps = outcome.apps.iter();
+    apps.map(|app| app.turnaround.as_secs_f64()).collect()
+}
+
+/// Per-app sums of several runs' [`turnaround_secs`], in run order.
+fn turnaround_sums(runs: &[Vec<f64>]) -> Vec<f64> {
+    let mut sums = vec![0.0; runs[0].len()];
+    for run in runs {
+        for (sum, secs) in sums.iter_mut().zip(run) {
+            *sum += secs;
+        }
+    }
+    sums
+}
+
+/// Element-wise `a / b`.
+fn quotients(a: &[f64], b: &[f64]) -> Vec<f64> {
+    a.iter().zip(b).map(|(a, b)| a / b).collect()
+}
+
+/// Geomean over workloads of each row's value relative to row 0, for
+/// `values[row][workload]`.
+fn geomean_vs_first(values: &[Vec<f64>]) -> Vec<f64> {
+    values
+        .iter()
+        .map(|row| geomean(&quotients(row, &values[0])))
+        .collect()
+}
+
+// ---------------------------------------------------------------------
 // Extensions beyond the paper: energy, and the quantified Table 1
 
 /// One scheduler's row in the energy study.
@@ -424,56 +498,30 @@ pub struct EnergyStudy {
 ///
 /// Propagates simulation failures.
 pub fn energy(h: &mut Harness) -> Result<EnergyStudy> {
-    use amp_sim::Simulation;
-    use amp_types::{CoreOrder, MachineConfig};
-
-    let specs: Vec<WorkloadSpec> = PaperWorkload::all().iter().map(|w| w.spec()).collect();
     let kinds = SchedulerKind::EXTENDED;
-
-    // energy[k][w], edp[k][w]
+    // energy[k][w], edp[k][w], each the mean over both core orders.
     let mut energies = vec![Vec::new(); kinds.len()];
     let mut edps = vec![Vec::new(); kinds.len()];
-    for spec in &specs {
-        for (ki, kind) in kinds.iter().enumerate() {
-            let mut joules = 0.0;
-            let mut edp = 0.0;
-            for order in CoreOrder::BOTH {
-                let machine = MachineConfig::asymmetric(2, 4, order);
-                let sim = Simulation::build_scaled(
-                    &machine,
-                    spec,
-                    h.config().seed,
-                    h.config().scale,
-                )?;
-                let mut sched = kind.create(&machine, h.model());
-                let outcome = sim.run(sched.as_mut())?;
-                joules += outcome.energy.total_joules();
-                edp += outcome.edp();
-            }
-            energies[ki].push(joules / 2.0);
-            edps[ki].push(edp / 2.0);
+    for spec in specs_where(|_| true) {
+        let compiled = compile(h, &spec, h.config().seed)?;
+        let runs = kinds
+            .iter()
+            .flat_map(|&kind| order_pair(h, &compiled, 2, 4, kind));
+        let costs = simulate_all(h, runs, |o| (o.energy.total_joules(), o.edp()))?;
+        for (ki, pair) in costs.chunks(2).enumerate() {
+            energies[ki].push(pair.iter().map(|c| c.0).sum::<f64>() / 2.0);
+            edps[ki].push(pair.iter().map(|c| c.1).sum::<f64>() / 2.0);
         }
     }
 
     let rows = kinds
         .iter()
-        .enumerate()
-        .map(|(ki, kind)| {
-            let ratios_e: Vec<f64> = energies[ki]
-                .iter()
-                .zip(&energies[0])
-                .map(|(e, base)| e / base)
-                .collect();
-            let ratios_d: Vec<f64> = edps[ki]
-                .iter()
-                .zip(&edps[0])
-                .map(|(d, base)| d / base)
-                .collect();
-            EnergyRow {
-                scheduler: kind.name(),
-                energy_vs_linux: geomean(&ratios_e),
-                edp_vs_linux: geomean(&ratios_d),
-            }
+        .zip(geomean_vs_first(&energies))
+        .zip(geomean_vs_first(&edps))
+        .map(|((kind, energy_vs_linux), edp_vs_linux)| EnergyRow {
+            scheduler: kind.name(),
+            energy_vs_linux,
+            edp_vs_linux,
         })
         .collect();
     Ok(EnergyStudy { rows })
@@ -512,26 +560,16 @@ pub struct Table1Quantified {
 ///
 /// Propagates simulation failures.
 pub fn table1_quantified(h: &mut Harness) -> Result<Table1Quantified> {
-    let kinds = [
+    let specs = specs_where(|_| true);
+    let mut rows = Vec::new();
+    for kind in [
         SchedulerKind::Gts,
         SchedulerKind::EqualProgress,
         SchedulerKind::Wash,
         SchedulerKind::Colab,
-    ];
-    let mut rows = Vec::new();
-    for kind in kinds {
-        let mut antt = Vec::new();
-        let mut stp = Vec::new();
-        for workload in PaperWorkload::all() {
-            let spec = workload.spec();
-            for (big, little) in CONFIGS {
-                let linux = h.mix(&spec, big, little, SchedulerKind::Linux)?;
-                let cell = h.mix(&spec, big, little, kind)?;
-                antt.push(cell.antt_vs(&linux));
-                stp.push(cell.stp_vs(&linux));
-            }
-        }
-        rows.push((kind.name(), geomean(&antt), geomean(&stp)));
+    ] {
+        let (antt, stp) = vs_linux(h, &specs, &CONFIGS, kind)?;
+        rows.push((kind.name(), antt, stp));
     }
     Ok(Table1Quantified { rows })
 }
@@ -580,64 +618,35 @@ pub struct Staggered {
 ///
 /// Propagates simulation failures.
 pub fn staggered(h: &mut Harness) -> Result<Staggered> {
-    use amp_sim::Simulation;
-    use amp_types::{CoreOrder, MachineConfig, SimTime};
-
-    let workloads: Vec<WorkloadSpec> = PaperWorkload::all()
-        .into_iter()
-        .filter(|w| w.num_programs() == 4)
-        .map(|w| w.spec())
-        .collect();
     let kinds = SchedulerKind::EXTENDED;
     let gap = SimTime::from_millis(40);
 
-    // turnarounds[k][flattened app]
+    // turnarounds[k][flattened app], each summed over both core orders.
     let mut turnarounds = vec![Vec::new(); kinds.len()];
-    for spec in &workloads {
-        for (ki, kind) in kinds.iter().enumerate() {
-            let mut per_app_sums: Vec<f64> = Vec::new();
-            for order in CoreOrder::BOTH {
-                let machine = MachineConfig::asymmetric(2, 4, order);
-                let apps = spec.instantiate(h.config().seed, h.config().scale);
-                let staged: Vec<_> = apps
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, app)| {
-                        (app, SimTime::from_nanos(gap.as_nanos() * i as u64))
-                    })
-                    .collect();
-                let sim = Simulation::from_apps_with_arrivals(
-                    &machine,
-                    staged,
-                    h.config().seed,
-                    h.config().sim_params,
-                )?;
-                let mut sched = kind.create(&machine, h.model());
-                let outcome = sim.run(sched.as_mut())?;
-                if per_app_sums.is_empty() {
-                    per_app_sums = vec![0.0; outcome.apps.len()];
-                }
-                for (sum, app) in per_app_sums.iter_mut().zip(&outcome.apps) {
-                    *sum += app.turnaround.as_secs_f64();
-                }
-            }
-            turnarounds[ki].extend(per_app_sums);
+    for spec in specs_where(|w| w.num_programs() == 4) {
+        let compiled = compile(h, &spec, h.config().seed)?;
+        let arrivals: Vec<SimTime> = (0..compiled.apps().len() as u64)
+            .map(|i| SimTime::from_nanos(gap.as_nanos() * i))
+            .collect();
+        let runs = kinds
+            .iter()
+            .flat_map(|&kind| order_pair(h, &compiled, 2, 4, kind))
+            .map(|run| RunSpec {
+                arrivals: arrivals.clone(),
+                ..run
+            });
+        let secs = simulate_all(h, runs, turnaround_secs)?;
+        for (ki, pair) in secs.chunks(2).enumerate() {
+            turnarounds[ki].extend(turnaround_sums(pair));
         }
     }
 
     let rows = kinds
         .iter()
-        .enumerate()
-        .map(|(ki, kind)| {
-            let ratios: Vec<f64> = turnarounds[ki]
-                .iter()
-                .zip(&turnarounds[0])
-                .map(|(t, base)| t / base)
-                .collect();
-            StaggeredRow {
-                scheduler: kind.name(),
-                turnaround_vs_linux: geomean(&ratios),
-            }
+        .zip(geomean_vs_first(&turnarounds))
+        .map(|(kind, turnaround_vs_linux)| StaggeredRow {
+            scheduler: kind.name(),
+            turnaround_vs_linux,
         })
         .collect();
     Ok(Staggered { rows })
@@ -689,49 +698,42 @@ pub struct FrequencySweep {
 ///
 /// Propagates simulation failures.
 pub fn frequency_sweep(h: &mut Harness) -> Result<FrequencySweep> {
-    use amp_sim::Simulation;
-    use amp_types::{CoreKind, CoreSpec, MachineConfig};
-
-    let specs = class_specs(WorkloadClass::Sync);
-    let mut points = Vec::new();
-    for little_ghz in [0.6, 0.9, 1.2, 1.6, 2.0] {
-        let machine = MachineConfig::from_cores(
+    const LITTLE_GHZ: [f64; 5] = [0.6, 0.9, 1.2, 1.6, 2.0];
+    let machines = LITTLE_GHZ.map(|freq_ghz| {
+        MachineConfig::from_cores(
             std::iter::repeat_n(CoreSpec::big(), 2)
                 .chain(std::iter::repeat_n(
                     CoreSpec {
                         kind: CoreKind::Little,
-                        freq_ghz: little_ghz,
+                        freq_ghz,
                     },
                     4,
                 ))
                 .collect(),
-        );
-        let mut ratios = Vec::new();
-        for spec in &specs {
-            let apps = spec.instantiate(h.config().seed, h.config().scale);
-            let mut per_kind = Vec::new();
-            for kind in [SchedulerKind::Linux, SchedulerKind::Colab] {
-                let sim = Simulation::from_apps_with_params(
-                    &machine,
-                    apps.clone(),
-                    h.config().seed,
-                    h.config().sim_params,
-                )?;
-                let mut sched = kind.create(&machine, h.model());
-                let outcome = sim.run(sched.as_mut())?;
-                per_kind.push(outcome);
-            }
-            for (linux_app, colab_app) in per_kind[0].apps.iter().zip(&per_kind[1].apps) {
-                ratios.push(
-                    colab_app.turnaround.as_secs_f64() / linux_app.turnaround.as_secs_f64(),
-                );
-            }
-        }
-        points.push(FrequencyPoint {
-            little_ghz,
-            colab_vs_linux: geomean(&ratios),
+        )
+    });
+
+    // ratios[point][flattened app]: COLAB/Linux turnaround.
+    let mut ratios = vec![Vec::new(); LITTLE_GHZ.len()];
+    for spec in class_specs(WorkloadClass::Sync) {
+        let compiled = compile(h, &spec, h.config().seed)?;
+        let runs = machines.iter().flat_map(|machine| {
+            [SchedulerKind::Linux, SchedulerKind::Colab]
+                .map(|kind| study_run(h, machine.clone(), &compiled, kind))
         });
+        let secs = simulate_all(h, runs, turnaround_secs)?;
+        for (point, pair) in ratios.iter_mut().zip(secs.chunks(2)) {
+            point.extend(quotients(&pair[1], &pair[0]));
+        }
     }
+    let points = LITTLE_GHZ
+        .into_iter()
+        .zip(&ratios)
+        .map(|(little_ghz, ratios)| FrequencyPoint {
+            little_ghz,
+            colab_vs_linux: geomean(ratios),
+        })
+        .collect();
     Ok(FrequencySweep { points })
 }
 
@@ -1014,14 +1016,11 @@ pub struct Sensitivity {
 ///
 /// Propagates simulation failures.
 pub fn sensitivity(h: &mut Harness) -> Result<Sensitivity> {
-    use amp_sim::{SimParams, Simulation};
-    use amp_types::{CoreOrder, MachineConfig, SimDuration};
-
-    let base = SimParams::default();
-    let variants: Vec<(String, SimParams)> = vec![
-        ("defaults".into(), base),
+    let base = h.config().sim_params;
+    let variants = [
+        ("defaults", base),
         (
-            "migration ×0".into(),
+            "migration ×0",
             SimParams {
                 migration_same_kind: SimDuration::ZERO,
                 migration_cross_kind: SimDuration::ZERO,
@@ -1030,7 +1029,7 @@ pub fn sensitivity(h: &mut Harness) -> Result<Sensitivity> {
             },
         ),
         (
-            "migration ×4".into(),
+            "migration ×4",
             SimParams {
                 migration_same_kind: base.migration_same_kind * 4,
                 migration_cross_kind: base.migration_cross_kind * 4,
@@ -1038,14 +1037,14 @@ pub fn sensitivity(h: &mut Harness) -> Result<Sensitivity> {
             },
         ),
         (
-            "tick 5ms".into(),
+            "tick 5ms",
             SimParams {
                 tick: SimDuration::from_millis(5),
                 ..base
             },
         ),
         (
-            "tick 40ms".into(),
+            "tick 40ms",
             SimParams {
                 tick: SimDuration::from_millis(40),
                 ..base
@@ -1053,44 +1052,32 @@ pub fn sensitivity(h: &mut Harness) -> Result<Sensitivity> {
         ),
     ];
 
-    let specs = class_specs(WorkloadClass::Sync);
-    let mut rows = Vec::new();
-    for (label, params) in variants {
-        let mut ratios = Vec::new();
-        for spec in &specs {
-            // Average each app's turnaround over both core orders, per
-            // scheduler, then take per-app ratios.
-            let mut colab_t = vec![0.0f64; spec.num_apps()];
-            let mut linux_t = vec![0.0f64; spec.num_apps()];
-            for order in CoreOrder::BOTH {
-                let machine = MachineConfig::asymmetric(2, 4, order);
-                let apps = spec.instantiate(h.config().seed, h.config().scale);
-                for (kind, acc) in [
-                    (SchedulerKind::Linux, &mut linux_t),
-                    (SchedulerKind::Colab, &mut colab_t),
-                ] {
-                    let sim = Simulation::from_apps_with_params(
-                        &machine,
-                        apps.clone(),
-                        h.config().seed,
-                        params,
-                    )?;
-                    let mut sched = kind.create(&machine, h.model());
-                    let outcome = sim.run(sched.as_mut())?;
-                    for (a, app) in acc.iter_mut().zip(&outcome.apps) {
-                        *a += app.turnaround.as_secs_f64();
-                    }
-                }
-            }
-            for (c, l) in colab_t.iter().zip(&linux_t) {
-                ratios.push(c / l);
-            }
-        }
-        rows.push(SensitivityRow {
-            variant: label,
-            colab_vs_linux: geomean(&ratios),
+    // ratios[variant][flattened app]: COLAB/Linux turnaround, each app's
+    // turnaround summed over both core orders per scheduler.
+    let mut ratios = vec![Vec::new(); variants.len()];
+    for spec in class_specs(WorkloadClass::Sync) {
+        let compiled = compile(h, &spec, h.config().seed)?;
+        let runs = variants.iter().flat_map(|&(_, params)| {
+            [SchedulerKind::Linux, SchedulerKind::Colab]
+                .into_iter()
+                .flat_map(|kind| order_pair(h, &compiled, 2, 4, kind))
+                .map(move |run| RunSpec { params, ..run })
         });
+        let secs = simulate_all(h, runs, turnaround_secs)?;
+        for (row, runs) in ratios.iter_mut().zip(secs.chunks(4)) {
+            let linux = turnaround_sums(&runs[..2]);
+            let colab = turnaround_sums(&runs[2..]);
+            row.extend(quotients(&colab, &linux));
+        }
     }
+    let rows = variants
+        .iter()
+        .zip(&ratios)
+        .map(|(&(label, _), ratios)| SensitivityRow {
+            variant: label.to_string(),
+            colab_vs_linux: geomean(ratios),
+        })
+        .collect();
     Ok(Sensitivity { rows })
 }
 
@@ -1137,12 +1124,7 @@ pub struct Ablation {
 ///
 /// Propagates simulation failures.
 pub fn ablation(h: &mut Harness) -> Result<Ablation> {
-    use amp_sched::{ColabConfig, ColabScheduler};
-    use amp_sim::Simulation;
-    use amp_types::{CoreOrder, MachineConfig, SimDuration};
-
-    let variants: [(&str, ColabConfig); 4] = [
-        ("full COLAB", ColabConfig::default()),
+    let variants: [(&str, ColabConfig); 3] = [
         (
             "− hierarchical allocation",
             ColabConfig::default().without_allocation(),
@@ -1154,45 +1136,30 @@ pub fn ablation(h: &mut Harness) -> Result<Ablation> {
         ("− scale-slice", ColabConfig::default().without_scale_slice()),
     ];
 
-    let specs = class_specs(WorkloadClass::Sync);
-    let mut rows = Vec::new();
-    for (label, config) in variants {
-        let mut ratios = Vec::new();
-        for spec in &specs {
-            for (big, little) in CONFIGS {
-                let linux = h.mix(spec, big, little, SchedulerKind::Linux)?;
-                // Evaluate the variant directly (variants are not part of
-                // the memoized 3-scheduler sweep).
-                let mut sums: Vec<SimDuration> =
-                    vec![SimDuration::ZERO; spec.num_apps()];
-                for order in CoreOrder::BOTH {
-                    let machine = MachineConfig::asymmetric(big, little, order);
-                    let sim = Simulation::build_scaled(
-                        &machine,
-                        spec,
-                        h.config().seed,
-                        h.config().scale,
-                    )?;
-                    let mut sched =
-                        ColabScheduler::with_config(&machine, h.model().clone(), config);
-                    let outcome = sim.run(&mut sched)?;
-                    for (sum, app) in sums.iter_mut().zip(&outcome.apps) {
-                        *sum += app.turnaround;
-                    }
-                }
-                let pairs: Vec<(SimDuration, SimDuration)> = sums
-                    .into_iter()
-                    .zip(linux.apps.iter())
-                    .map(|(sum, &(_, _, sb))| (sum / 2, sb))
-                    .collect();
-                ratios.push(amp_metrics::h_antt(&pairs) / linux.h_antt);
+    // ratios[row][(workload, config)]; row 0 is full COLAB, read from the
+    // memoized COLAB cells.
+    let mut ratios = vec![Vec::new(); variants.len() + 1];
+    for spec in class_specs(WorkloadClass::Sync) {
+        for (big, little) in CONFIGS {
+            let linux = h.mix(&spec, big, little, SchedulerKind::Linux)?;
+            let colab = h.mix(&spec, big, little, SchedulerKind::Colab)?;
+            ratios[0].push(colab.antt_vs(&linux));
+            let t_sb = h.baselines(&spec, big + little)?;
+            for (row, &(_, config)) in ratios[1..].iter_mut().zip(&variants) {
+                let policy = Policy::Colab(config);
+                let (cell, _) = compute_cell(h, &t_sb, &spec, big, little, policy)?;
+                row.push(cell.antt_vs(&linux));
             }
         }
-        rows.push(AblationRow {
-            variant: label.to_string(),
-            antt_vs_linux: geomean(&ratios),
-        });
     }
+    let labels = std::iter::once("full COLAB").chain(variants.iter().map(|&(label, _)| label));
+    let rows = labels
+        .zip(&ratios)
+        .map(|(label, ratios)| AblationRow {
+            variant: label.to_string(),
+            antt_vs_linux: geomean(ratios),
+        })
+        .collect();
     Ok(Ablation { rows })
 }
 
@@ -1253,10 +1220,6 @@ pub struct FaultsStudy {
 ///
 /// Propagates simulation failures and invalid fault plans.
 pub fn faults(h: &mut Harness) -> Result<FaultsStudy> {
-    use amp_sim::faults::FaultPlan;
-    use amp_sim::{Simulation, SimulationOutcome};
-    use amp_types::{CoreOrder, MachineConfig, SimDuration};
-
     const INTENSITIES: [f64; 3] = [0.5, 1.0, 2.0];
     const SEEDS: [u64; 3] = [11, 12, 13];
 
@@ -1266,58 +1229,58 @@ pub fn faults(h: &mut Harness) -> Result<FaultsStudy> {
         .find(|w| w.num_programs() == 4)
         .map(|w| w.spec())
         .unwrap_or_else(|| WorkloadSpec::single(BenchmarkId::Ferret, 6));
-    let workload = spec.name().to_string();
-
-    let run = |h: &Harness,
-               kind: SchedulerKind,
-               seed: u64,
-               plan: FaultPlan|
-     -> Result<SimulationOutcome> {
-        let apps = spec.instantiate(seed, h.config().scale);
-        let sim = Simulation::from_apps_with_params(&machine, apps, seed, h.config().sim_params)?
-            .with_fault_plan(plan)?;
-        let mut sched = kind.create(&machine, h.model());
-        sim.run(sched.as_mut())
-    };
-
-    // Clean baselines, one per (scheduler, seed); the Linux makespan also
-    // bounds the fault window so plans cover the whole run.
     let kinds = SchedulerKind::ALL;
-    let mut clean = vec![Vec::new(); kinds.len()];
-    let mut windows = Vec::new();
-    for &seed in &SEEDS {
-        for (ki, &kind) in kinds.iter().enumerate() {
-            let outcome = run(h, kind, seed, FaultPlan::empty())?;
-            if ki == 0 {
-                windows.push(SimDuration::from_nanos(outcome.makespan.as_nanos()));
-            }
-            clean[ki].push(outcome);
+
+    // Per seed: one clean run per scheduler, whose Linux makespan bounds
+    // the fault window so plans cover the whole run, then one faulted
+    // run per (intensity, scheduler), each reduced against its clean run
+    // to (faults, forced migrations, offline seconds, STP and ANTT
+    // retained).
+    let mut per_seed = Vec::new();
+    for seed in SEEDS {
+        let compiled = compile(h, &spec, seed)?;
+        let run = |kind: SchedulerKind, faults: FaultPlan| RunSpec {
+            seed,
+            faults,
+            ..study_run(h, machine.clone(), &compiled, kind)
+        };
+        let clean_runs = kinds.map(|kind| run(kind, FaultPlan::empty()));
+        let clean = simulate_all(h, clean_runs, |outcome| outcome)?;
+        let window = SimDuration::from_nanos(clean[0].makespan.as_nanos());
+        let mut faulted = Vec::new();
+        for intensity in INTENSITIES {
+            let plan = FaultPlan::random(&machine, seed, intensity, window);
+            let runs = kinds.map(|kind| run(kind, plan.clone()));
+            let outcomes = simulate_all(h, runs, |outcome| outcome)?;
+            faulted.extend(outcomes.iter().zip(&clean).map(|(outcome, clean)| {
+                let d = &outcome.degradation;
+                (
+                    d.faults_injected as f64,
+                    d.forced_migrations as f64,
+                    d.offline_core_time.as_secs_f64(),
+                    DegradationReport::throughput_retained(clean, outcome),
+                    DegradationReport::antt_retained(clean, outcome),
+                )
+            }));
         }
+        per_seed.push(faulted);
     }
 
     let mut rows = Vec::new();
-    for &intensity in &INTENSITIES {
+    for (ii, &intensity) in INTENSITIES.iter().enumerate() {
         for (ki, &kind) in kinds.iter().enumerate() {
             let mut faults_injected = 0.0;
             let mut forced = 0.0;
             let mut offline_s = 0.0;
             let mut stp = Vec::new();
             let mut antt = Vec::new();
-            for (si, &seed) in SEEDS.iter().enumerate() {
-                let plan = FaultPlan::random(&machine, seed, intensity, windows[si]);
-                let outcome = run(h, kind, seed, plan)?;
-                let d = &outcome.degradation;
-                faults_injected += d.faults_injected as f64;
-                forced += d.forced_migrations as f64;
-                offline_s += d.offline_core_time.as_secs_f64();
-                stp.push(amp_sim::DegradationReport::throughput_retained(
-                    &clean[ki][si],
-                    &outcome,
-                ));
-                antt.push(amp_sim::DegradationReport::antt_retained(
-                    &clean[ki][si],
-                    &outcome,
-                ));
+            for faulted in &per_seed {
+                let f = faulted[ii * kinds.len() + ki];
+                faults_injected += f.0;
+                forced += f.1;
+                offline_s += f.2;
+                stp.push(f.3);
+                antt.push(f.4);
             }
             let n = SEEDS.len() as f64;
             rows.push(FaultsRow {
@@ -1331,7 +1294,10 @@ pub fn faults(h: &mut Harness) -> Result<FaultsStudy> {
             });
         }
     }
-    Ok(FaultsStudy { workload, rows })
+    Ok(FaultsStudy {
+        workload: spec.name().to_string(),
+        rows,
+    })
 }
 
 impl fmt::Display for FaultsStudy {

@@ -1,20 +1,19 @@
-//! The experiment harness: scheduler factory, baseline cache, and the
-//! per-cell evaluation protocol of §5.1.
+//! The experiment harness: baseline cache, cell memo, and the per-cell
+//! evaluation protocol of §5.1.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use amp_metrics::MixSummary;
 use amp_perf::SpeedupModel;
-use amp_sched::{
-    CfsScheduler, ColabScheduler, EqualProgressScheduler, GtsScheduler, Scheduler, WashScheduler,
-};
+use amp_sched::Scheduler;
 use amp_sim::telemetry::TelemetryReport;
-use amp_sim::{SimParams, Simulation};
+use amp_sim::SimParams;
 use amp_types::{AppId, CoreOrder, MachineConfig, Result, SimDuration};
 use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
 
 use crate::intern::ProgramStore;
+use crate::run::{Policy, RunSpec};
 use crate::training;
 
 /// The evaluated scheduling policies: the paper's three, plus ARM GTS
@@ -60,17 +59,9 @@ impl SchedulerKind {
         }
     }
 
-    /// Instantiates the policy for a machine.
+    /// Instantiates the policy for a machine (see [`Policy::create`]).
     pub fn create(self, machine: &MachineConfig, model: &SpeedupModel) -> Box<dyn Scheduler> {
-        match self {
-            SchedulerKind::Linux => Box::new(CfsScheduler::new(machine)),
-            SchedulerKind::Wash => Box::new(WashScheduler::new(machine, model.clone())),
-            SchedulerKind::Colab => Box::new(ColabScheduler::new(machine, model.clone())),
-            SchedulerKind::Gts => Box::new(GtsScheduler::new(machine)),
-            SchedulerKind::EqualProgress => {
-                Box::new(EqualProgressScheduler::new(machine, model.clone()))
-            }
-        }
+        Policy::Kind(self).create(machine, model)
     }
 }
 
@@ -128,44 +119,35 @@ pub(crate) fn rep_seed(master: u64, rep: u32) -> u64 {
     master.wrapping_add(u64::from(rep).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Shared read-only inputs for baseline and cell evaluation: the
-/// experiment configuration plus the plan-level compiled-program store.
-/// Bundled so the sweep executor hands workers a single borrow instead
-/// of threading each field through every call.
-#[derive(Clone, Copy)]
-pub(crate) struct EvalCtx<'a> {
-    pub(crate) config: &'a ExperimentConfig,
-    pub(crate) store: &'a ProgramStore,
-}
-
 /// Computes the isolated big-only baselines `T_SB` for every app of
 /// `workload` on an all-big machine with `total_cores` cores.
 ///
 /// This is the single implementation behind both the serial memoized
 /// path ([`Harness::baselines`]) and the parallel sweep executor
-/// (`Harness::run_plan`): each baseline depends only on its inputs, so
-/// running it on any thread yields bit-identical results.
+/// (`Harness::run_plan`): each baseline depends only on its inputs (the
+/// harness's configuration, program store and model, never its memo
+/// caches), so running it on any thread yields bit-identical results.
 pub(crate) fn compute_baseline(
-    ctx: &EvalCtx<'_>,
+    h: &Harness,
     workload: &WorkloadSpec,
     total_cores: usize,
 ) -> Result<Vec<SimDuration>> {
-    let EvalCtx { config, store } = *ctx;
+    let config = &h.config;
     let machine = MachineConfig::all_big(total_cores);
     let reps = config.replications.max(1);
     let mut t_sb = vec![SimDuration::ZERO; workload.num_apps()];
     for rep in 0..reps {
         let seed = rep_seed(config.seed, rep);
-        let compiled = store.get_or_compile(workload, seed, config.scale)?;
+        let compiled = h.programs.get_or_compile(workload, seed, config.scale)?;
         for (slot, app) in t_sb.iter_mut().zip(compiled.apps()) {
-            let sim = Simulation::from_compiled_with_params(
-                &machine,
+            let run = RunSpec::new(
+                machine.clone(),
                 vec![Arc::clone(app)],
                 seed,
                 config.sim_params,
-            )?;
-            let outcome = sim.run(&mut CfsScheduler::new(&machine))?;
-            *slot += outcome.turnaround(AppId::new(0));
+                SchedulerKind::Linux,
+            );
+            *slot += run.simulate(&h.model)?.turnaround(AppId::new(0));
         }
     }
     for slot in &mut t_sb {
@@ -177,21 +159,20 @@ pub(crate) fn compute_baseline(
 /// Evaluates one experiment cell — `workload` on a `big`×`little`
 /// machine under `kind`, run once per core-enumeration order per
 /// replication and averaged (§5.1) — against precomputed baselines
-/// `t_sb`. A fresh [`Simulation`] and scheduler are constructed for
-/// every run, so no mutable state is shared with any other cell and the
-/// result is a pure function of the arguments: the sweep executor can
-/// evaluate cells on any thread in any order and reproduce the serial
-/// path bit-for-bit.
+/// `t_sb`. Every run is a fresh [`RunSpec`], so no mutable state is
+/// shared with any other cell and the result is a pure function of the
+/// arguments (reading only the harness's configuration, program store
+/// and model): the sweep executor can evaluate cells on any thread in
+/// any order and reproduce the serial path bit-for-bit.
 pub(crate) fn compute_cell(
-    ctx: &EvalCtx<'_>,
-    model: &SpeedupModel,
+    h: &Harness,
     t_sb: &[SimDuration],
     workload: &WorkloadSpec,
     big: usize,
     little: usize,
-    kind: SchedulerKind,
+    policy: Policy,
 ) -> Result<(MixSummary, TelemetryReport)> {
-    let EvalCtx { config, store } = *ctx;
+    let config = &h.config;
     let config_label = MachineConfig::asymmetric(big, little, CoreOrder::BigFirst).label();
     let reps = config.replications.max(1);
     let mut sums: Vec<SimDuration> = vec![SimDuration::ZERO; workload.num_apps()];
@@ -199,28 +180,14 @@ pub(crate) fn compute_cell(
     let mut telemetry = TelemetryReport::new();
     for rep in 0..reps {
         let seed = rep_seed(config.seed, rep);
-        let compiled = store.get_or_compile(workload, seed, config.scale)?;
+        let compiled = h.programs.get_or_compile(workload, seed, config.scale)?;
         for order in CoreOrder::BOTH {
             let machine = MachineConfig::asymmetric(big, little, order);
-            let t0 = std::time::Instant::now();
-            let sim = Simulation::from_compiled_with_params(
-                &machine,
-                compiled.apps().to_vec(),
-                seed,
-                config.sim_params,
-            )?;
-            let t1 = std::time::Instant::now();
-            let mut sched = kind.create(&machine, model);
-            let outcome = sim.run(sched.as_mut())?;
-            let t2 = std::time::Instant::now();
-            crate::simcost::record(
-                kind,
-                (t1 - t0).as_nanos() as u64,
-                (t2 - t1).as_nanos() as u64,
-                outcome.events_processed,
-                outcome.compute_leaves,
-                outcome.compute_events,
-            );
+            let apps = compiled.apps().to_vec();
+            let mut run = RunSpec::new(machine, apps, seed, config.sim_params, policy);
+            // Ablation variants would skew COLAB's per-policy costs.
+            run.record_cost = matches!(policy, Policy::Kind(_));
+            let outcome = run.simulate(&h.model)?;
             names = outcome.apps.iter().map(|a| a.name.clone()).collect();
             for (sum, app) in sums.iter_mut().zip(&outcome.apps) {
                 *sum += app.turnaround;
@@ -235,7 +202,7 @@ pub(crate) fn compute_cell(
         .zip(t_sb)
         .map(|((name, sum), &sb)| (name, sum / divisor, sb))
         .collect();
-    let cell = MixSummary::new(workload.name(), config_label, kind.name(), apps);
+    let cell = MixSummary::new(workload.name(), config_label, policy.kind().name(), apps);
     Ok((cell, telemetry))
 }
 
@@ -298,16 +265,16 @@ impl Harness {
 
     /// Isolated big-only baselines `T_SB` for every app of a workload, on
     /// an all-big machine with `total_cores` cores. Memoized.
-    fn baselines(&mut self, workload: &WorkloadSpec, total_cores: usize) -> Result<Vec<SimDuration>> {
+    pub(crate) fn baselines(
+        &mut self,
+        workload: &WorkloadSpec,
+        total_cores: usize,
+    ) -> Result<Vec<SimDuration>> {
         let key = (workload.name().to_string(), total_cores);
         if let Some(b) = self.baselines.get(&key) {
             return Ok(b.clone());
         }
-        let ctx = EvalCtx {
-            config: &self.config,
-            store: &self.programs,
-        };
-        let t_sb = compute_baseline(&ctx, workload, total_cores)?;
+        let t_sb = compute_baseline(self, workload, total_cores)?;
         self.baselines.insert(key, t_sb.clone());
         Ok(t_sb)
     }
@@ -338,11 +305,8 @@ impl Harness {
 
         let total_cores = big + little;
         let t_sb = self.baselines(workload, total_cores)?;
-        let ctx = EvalCtx {
-            config: &self.config,
-            store: &self.programs,
-        };
-        let (cell, telemetry) = compute_cell(&ctx, &self.model, &t_sb, workload, big, little, kind)?;
+        let (cell, telemetry) =
+            compute_cell(self, &t_sb, workload, big, little, kind.into())?;
         self.telemetry.insert(key.clone(), telemetry);
         self.cells.insert(key, cell.clone());
         Ok(cell)

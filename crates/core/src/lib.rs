@@ -35,10 +35,12 @@ pub mod experiments;
 mod harness;
 pub mod intern;
 pub mod report;
+pub mod run;
 pub mod simcost;
 pub mod sweep;
 pub mod training;
 
 pub use harness::{ExperimentConfig, Harness, SchedulerKind};
 pub use intern::{InternStats, ProgramStore};
+pub use run::{Policy, RunSpec};
 pub use sweep::{SweepCell, SweepPlan, SweepReport};

@@ -40,7 +40,7 @@ use amp_types::{CoreOrder, MachineConfig, Result, SimDuration};
 use amp_workloads::{BenchmarkId, PaperWorkload, WorkloadSpec};
 
 use crate::experiments::CONFIGS;
-use crate::harness::{compute_baseline, compute_cell, CellKey, EvalCtx, Harness, SchedulerKind};
+use crate::harness::{compute_baseline, compute_cell, CellKey, Harness, SchedulerKind};
 
 // ---------------------------------------------------------------------
 // Plan
@@ -359,14 +359,10 @@ impl Harness {
             .into_iter()
             .filter(|(w, t)| !self.baselines.contains_key(&(w.name().to_string(), *t)))
             .collect();
-        let config = self.config.clone();
-        let ctx = EvalCtx {
-            config: &config,
-            store: &self.programs,
-        };
+        let h = &*self;
         let baseline_results: Vec<Result<Vec<SimDuration>>> =
             parallel_map(jobs, &baseline_jobs, |(workload, total)| {
-                compute_baseline(&ctx, workload, *total)
+                compute_baseline(h, workload, *total)
             });
         for ((workload, total), result) in baseline_jobs.iter().zip(baseline_results) {
             self.baselines
@@ -380,21 +376,20 @@ impl Harness {
             .filter(|cell| !self.cells.contains_key(&cell.key()))
             .collect();
         let cached = plan.len() - todo.len();
-        let model = self.model.clone();
-        let baselines = &self.baselines;
+        let h = &*self;
         let cell_results: Vec<Result<(MixSummary, TelemetryReport)>> =
             parallel_map(jobs, &todo, |cell| {
-                let t_sb = baselines
+                let t_sb = h
+                    .baselines
                     .get(&(cell.workload.name().to_string(), cell.big + cell.little))
                     .expect("phase 1 computed every baseline the plan needs");
                 compute_cell(
-                    &ctx,
-                    &model,
+                    h,
                     t_sb,
                     &cell.workload,
                     cell.big,
                     cell.little,
-                    cell.kind,
+                    cell.kind.into(),
                 )
             });
         let executed = todo.len();

@@ -10,10 +10,12 @@
 //! counters, fitted with linear regression.
 
 use amp_perf::{SpeedupModel, TrainingSet};
-use amp_sched::CfsScheduler;
-use amp_sim::Simulation;
+use amp_sim::SimParams;
 use amp_types::{MachineConfig, Result};
-use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
+use amp_workloads::{BenchmarkId, CompiledWorkload, Scale, WorkloadSpec};
+
+use crate::run::RunSpec;
+use crate::SchedulerKind;
 
 /// Number of counters the paper's PCA step keeps (Table 2 lists six plus
 /// the committed-instruction normalizer).
@@ -32,14 +34,20 @@ pub fn build_training_set(cores: usize, seed: u64, scale: Scale) -> Result<Train
     let little_machine = MachineConfig::all_little(cores);
     let mut set = TrainingSet::new();
 
+    // CFS is model-agnostic; the runs only need a model to satisfy the
+    // scheduler factory's signature.
+    let model = SpeedupModel::heuristic();
+    let params = SimParams::default();
     for bench in BenchmarkId::ALL {
         let threads = bench.clamp_threads(cores);
         let spec = WorkloadSpec::single(bench, threads);
-
-        let big_run = Simulation::build_scaled(&big_machine, &spec, seed, scale)?
-            .run(&mut CfsScheduler::new(&big_machine))?;
-        let little_run = Simulation::build_scaled(&little_machine, &spec, seed, scale)?
-            .run(&mut CfsScheduler::new(&little_machine))?;
+        let compiled = CompiledWorkload::compile(&spec, seed, scale)?;
+        let run = |machine: &MachineConfig| {
+            let apps = compiled.apps().to_vec();
+            RunSpec::new(machine.clone(), apps, seed, params, SchedulerKind::Linux).simulate(&model)
+        };
+        let big_run = run(&big_machine)?;
+        let little_run = run(&little_machine)?;
 
         for (tb, tl) in big_run.threads.iter().zip(&little_run.threads) {
             debug_assert_eq!(tb.name, tl.name, "thread order must match across runs");

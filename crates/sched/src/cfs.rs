@@ -250,17 +250,13 @@ impl CfsEngine {
 ///
 /// ```
 /// use amp_sched::{CfsScheduler, Scheduler};
-/// use amp_sim::Simulation;
+/// use amp_sim::{SimParams, Simulation};
 /// use amp_types::{CoreOrder, MachineConfig};
 /// use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
 ///
 /// let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
-/// let sim = Simulation::build_scaled(
-///     &machine,
-///     &WorkloadSpec::single(BenchmarkId::Blackscholes, 4),
-///     1,
-///     Scale::quick(),
-/// ).unwrap();
+/// let apps = WorkloadSpec::single(BenchmarkId::Blackscholes, 4).instantiate(1, Scale::quick());
+/// let sim = Simulation::from_apps_with_params(&machine, apps, 1, SimParams::default()).unwrap();
 /// let outcome = sim.run(&mut CfsScheduler::new(&machine)).unwrap();
 /// assert_eq!(outcome.scheduler, "linux");
 /// ```
@@ -347,16 +343,21 @@ impl Scheduler for CfsScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amp_sim::Simulation;
+    use amp_sim::{SimParams, Simulation};
     use amp_types::{CoreOrder, SimTime};
     use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
 
     fn run_at(bench: BenchmarkId, threads: usize, scale: Scale) -> amp_sim::SimulationOutcome {
         let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
-        Simulation::build_scaled(&machine, &WorkloadSpec::single(bench, threads), 5, scale)
-            .unwrap()
-            .run(&mut CfsScheduler::new(&machine))
-            .unwrap()
+        Simulation::from_apps_with_params(
+            &machine,
+            WorkloadSpec::single(bench, threads).instantiate(5, scale),
+            5,
+            SimParams::default(),
+        )
+        .unwrap()
+        .run(&mut CfsScheduler::new(&machine))
+        .unwrap()
     }
 
     #[test]
@@ -380,11 +381,11 @@ mod tests {
         // not — equal CPU time is unequal progress; that asymmetry-
         // blindness is exactly what the paper exploits.)
         let machine = MachineConfig::all_big(4);
-        let outcome = Simulation::build_scaled(
+        let outcome = Simulation::from_apps_with_params(
             &machine,
-            &WorkloadSpec::single(BenchmarkId::Blackscholes, 8),
+            WorkloadSpec::single(BenchmarkId::Blackscholes, 8).instantiate(5, Scale::new(0.5)),
             5,
-            Scale::new(0.5),
+            SimParams::default(),
         )
         .unwrap()
         .run(&mut CfsScheduler::new(&machine))

@@ -117,17 +117,13 @@ impl ColabConfig {
 /// ```
 /// use amp_perf::SpeedupModel;
 /// use amp_sched::{ColabScheduler, Scheduler};
-/// use amp_sim::Simulation;
+/// use amp_sim::{SimParams, Simulation};
 /// use amp_types::{CoreOrder, MachineConfig};
 /// use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
 ///
 /// let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
-/// let sim = Simulation::build_scaled(
-///     &machine,
-///     &WorkloadSpec::single(BenchmarkId::Ferret, 6),
-///     1,
-///     Scale::quick(),
-/// ).unwrap();
+/// let apps = WorkloadSpec::single(BenchmarkId::Ferret, 6).instantiate(1, Scale::quick());
+/// let sim = Simulation::from_apps_with_params(&machine, apps, 1, SimParams::default()).unwrap();
 /// let outcome = sim
 ///     .run(&mut ColabScheduler::new(&machine, SpeedupModel::heuristic()))
 ///     .unwrap();
@@ -566,7 +562,7 @@ impl Scheduler for ColabScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amp_sim::Simulation;
+    use amp_sim::{SimParams, Simulation};
     use amp_types::{CoreOrder, SimTime};
     use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
 
@@ -576,7 +572,7 @@ mod tests {
 
     fn run_colab(spec: &WorkloadSpec, scale: Scale) -> amp_sim::SimulationOutcome {
         let m = machine();
-        Simulation::build_scaled(&m, spec, 6, scale)
+        Simulation::from_apps_with_params(&m, spec.instantiate(6, scale), 6, SimParams::default())
             .unwrap()
             .run(&mut ColabScheduler::new(&m, SpeedupModel::heuristic()))
             .unwrap()
@@ -698,7 +694,13 @@ mod tests {
         // Drive the labeller directly through a short sim, then inspect.
         let m = machine();
         let spec = WorkloadSpec::single(BenchmarkId::Swaptions, 5);
-        let sim = Simulation::build_scaled(&m, &spec, 6, Scale::new(0.5)).unwrap();
+        let sim = Simulation::from_apps_with_params(
+            &m,
+            spec.instantiate(6, Scale::new(0.5)),
+            6,
+            SimParams::default(),
+        )
+        .unwrap();
         let mut sched = ColabScheduler::new(&m, SpeedupModel::heuristic());
         let _ = sim.run(&mut sched).unwrap();
         // After the run, the master (thread 0, memory-bound) must not be

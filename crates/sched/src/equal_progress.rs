@@ -146,7 +146,7 @@ impl Scheduler for EqualProgressScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amp_sim::Simulation;
+    use amp_sim::{SimParams, Simulation};
     use amp_types::{CoreOrder, SimTime};
     use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
 
@@ -157,13 +157,18 @@ mod tests {
             "ep-mix",
             vec![(BenchmarkId::Ferret, 6), (BenchmarkId::Radix, 4)],
         );
-        let outcome = Simulation::build_scaled(&machine, &spec, 3, Scale::quick())
-            .unwrap()
-            .run(&mut EqualProgressScheduler::new(
-                &machine,
-                SpeedupModel::heuristic(),
-            ))
-            .unwrap();
+        let outcome = Simulation::from_apps_with_params(
+            &machine,
+            spec.instantiate(3, Scale::quick()),
+            3,
+            SimParams::default(),
+        )
+        .unwrap()
+        .run(&mut EqualProgressScheduler::new(
+            &machine,
+            SpeedupModel::heuristic(),
+        ))
+        .unwrap();
         assert!(outcome.makespan > SimTime::ZERO);
         assert_eq!(outcome.scheduler, "equal-progress");
     }
@@ -187,17 +192,27 @@ mod tests {
             let min = finishes.iter().cloned().fold(f64::INFINITY, f64::min);
             max / min
         };
-        let cfs = Simulation::build_scaled(&machine, &spec, 5, Scale::new(0.5))
-            .unwrap()
-            .run(&mut crate::CfsScheduler::new(&machine))
-            .unwrap();
-        let ep = Simulation::build_scaled(&machine, &spec, 5, Scale::new(0.5))
-            .unwrap()
-            .run(&mut EqualProgressScheduler::new(
-                &machine,
-                SpeedupModel::heuristic(),
-            ))
-            .unwrap();
+        let cfs = Simulation::from_apps_with_params(
+            &machine,
+            spec.instantiate(5, Scale::new(0.5)),
+            5,
+            SimParams::default(),
+        )
+        .unwrap()
+        .run(&mut crate::CfsScheduler::new(&machine))
+        .unwrap();
+        let ep = Simulation::from_apps_with_params(
+            &machine,
+            spec.instantiate(5, Scale::new(0.5)),
+            5,
+            SimParams::default(),
+        )
+        .unwrap()
+        .run(&mut EqualProgressScheduler::new(
+            &machine,
+            SpeedupModel::heuristic(),
+        ))
+        .unwrap();
         assert!(
             spread(&ep) <= spread(&cfs) + 1e-9,
             "equal-progress spread {:.3} vs CFS {:.3}",

@@ -272,7 +272,7 @@ impl GtsScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amp_sim::Simulation;
+    use amp_sim::{SimParams, Simulation};
     use amp_types::{CoreOrder, SimTime};
     use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
 
@@ -283,10 +283,15 @@ mod tests {
             "gts-mix",
             vec![(BenchmarkId::Ferret, 6), (BenchmarkId::Radix, 4)],
         );
-        let outcome = Simulation::build_scaled(&machine, &spec, 3, Scale::quick())
-            .unwrap()
-            .run(&mut GtsScheduler::new(&machine))
-            .unwrap();
+        let outcome = Simulation::from_apps_with_params(
+            &machine,
+            spec.instantiate(3, Scale::quick()),
+            3,
+            SimParams::default(),
+        )
+        .unwrap()
+        .run(&mut GtsScheduler::new(&machine))
+        .unwrap();
         assert!(outcome.makespan > SimTime::ZERO);
         assert_eq!(outcome.scheduler, "gts");
     }
@@ -298,10 +303,15 @@ mod tests {
         // contend there; little cores see at most spillover.
         let machine = MachineConfig::paper_2b2s(CoreOrder::LittleFirst);
         let spec = WorkloadSpec::single(BenchmarkId::Blackscholes, 2);
-        let outcome = Simulation::build_scaled(&machine, &spec, 5, Scale::new(0.5))
-            .unwrap()
-            .run(&mut GtsScheduler::new(&machine))
-            .unwrap();
+        let outcome = Simulation::from_apps_with_params(
+            &machine,
+            spec.instantiate(5, Scale::new(0.5)),
+            5,
+            SimParams::default(),
+        )
+        .unwrap()
+        .run(&mut GtsScheduler::new(&machine))
+        .unwrap();
         let total_big: f64 = outcome.threads.iter().map(|t| t.big_time.as_secs_f64()).sum();
         let total_run: f64 = outcome.threads.iter().map(|t| t.run_time.as_secs_f64()).sum();
         assert!(

@@ -321,7 +321,7 @@ impl Scheduler for WashScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amp_sim::Simulation;
+    use amp_sim::{SimParams, Simulation};
     use amp_types::{CoreOrder, SimTime};
     use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
 
@@ -343,10 +343,15 @@ mod tests {
                 vec![(BenchmarkId::Swaptions, 4), (BenchmarkId::Radix, 4)],
             ),
         ] {
-            let outcome = Simulation::build_scaled(&machine, &spec, 2, Scale::quick())
-                .unwrap()
-                .run(&mut WashScheduler::new(&machine, SpeedupModel::heuristic()))
-                .unwrap();
+            let outcome = Simulation::from_apps_with_params(
+                &machine,
+                spec.instantiate(2, Scale::quick()),
+                2,
+                SimParams::default(),
+            )
+            .unwrap()
+            .run(&mut WashScheduler::new(&machine, SpeedupModel::heuristic()))
+            .unwrap();
             assert!(outcome.makespan > SimTime::ZERO);
             assert_eq!(outcome.scheduler, "wash");
         }
@@ -358,10 +363,15 @@ mod tests {
         // should route worker time to big cores disproportionately.
         let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
         let spec = WorkloadSpec::single(BenchmarkId::Swaptions, 5);
-        let outcome = Simulation::build_scaled(&machine, &spec, 4, Scale::new(0.3))
-            .unwrap()
-            .run(&mut WashScheduler::new(&machine, SpeedupModel::heuristic()))
-            .unwrap();
+        let outcome = Simulation::from_apps_with_params(
+            &machine,
+            spec.instantiate(4, Scale::new(0.3)),
+            4,
+            SimParams::default(),
+        )
+        .unwrap()
+        .run(&mut WashScheduler::new(&machine, SpeedupModel::heuristic()))
+        .unwrap();
         let master = &outcome.threads[0];
         let workers = &outcome.threads[1..];
         let master_share = master.big_time.as_secs_f64() / master.run_time.as_secs_f64().max(1e-12);

@@ -121,7 +121,13 @@ fn gts_down_migrates_mostly_idle_threads() {
             })
             .done();
     }
-    let sim = Simulation::from_apps(&machine, vec![app.build().unwrap()], 5).unwrap();
+    let sim = Simulation::from_apps_with_params(
+        &machine,
+        vec![app.build().unwrap()],
+        5,
+        SimParams::default(),
+    )
+    .unwrap();
     let outcome = sim.run(&mut GtsScheduler::new(&machine)).unwrap();
 
     let share = |t: &ThreadStats| {
@@ -151,7 +157,13 @@ fn policies_disagree_on_the_same_workload() {
     );
     let mut makespans = Vec::new();
     for which in 0..4 {
-        let sim = Simulation::build_scaled(&machine, &spec, 8, Scale::new(0.4)).unwrap();
+        let sim = Simulation::from_apps_with_params(
+            &machine,
+            spec.instantiate(8, Scale::new(0.4)),
+            8,
+            SimParams::default(),
+        )
+        .unwrap();
         let outcome = match which {
             0 => sim.run(&mut amp_sched::CfsScheduler::new(&machine)),
             1 => sim.run(&mut GtsScheduler::new(&machine)),

@@ -20,17 +20,25 @@
 //! # Examples
 //!
 //! ```
-//! use amp_sim::{Simulation, RoundRobin};
+//! use amp_sim::{RoundRobin, SimParams, Simulation};
 //! use amp_types::{CoreOrder, MachineConfig, SimTime};
 //! use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
 //!
 //! let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
 //! let workload = WorkloadSpec::single(BenchmarkId::Blackscholes, 4);
-//! let sim = Simulation::build_scaled(&machine, &workload, 1, Scale::quick()).unwrap();
+//! let apps = workload.instantiate(1, Scale::quick());
+//! let sim = Simulation::from_apps_with_params(&machine, apps, 1, SimParams::default()).unwrap();
 //! let outcome = sim.run(&mut RoundRobin::new()).unwrap();
 //! assert!(outcome.makespan > SimTime::ZERO);
 //! assert_eq!(outcome.apps.len(), 1);
 //! ```
+//!
+//! A simulation has exactly two constructors:
+//! [`Simulation::from_apps_with_params`] compiles app specs, and
+//! [`Simulation::from_compiled_with_params`] loads `Arc`-shared compiled
+//! apps, so one compilation can back many runs. Two modifiers refine
+//! either: [`Simulation::with_arrivals`] staggers application arrivals
+//! and [`Simulation::with_fault_plan`] injects faults.
 
 #![warn(missing_docs)]
 

@@ -28,7 +28,7 @@ fn one_thread_app(name: &str, ops: Vec<Op>) -> AppSpec {
 fn empty_program_finishes_immediately() {
     let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
     let app = one_thread_app("empty", vec![]);
-    let outcome = Simulation::from_apps(&machine, vec![app], 1)
+    let outcome = Simulation::from_apps_with_params(&machine, vec![app], 1, SimParams::default())
         .unwrap()
         .run(&mut RoundRobin::new())
         .unwrap();
@@ -52,10 +52,15 @@ fn sync_only_program_runs_without_compute() {
             b.pop(q);
         })
         .done();
-    let outcome = Simulation::from_apps(&machine, vec![app.build().unwrap()], 1)
-        .unwrap()
-        .run(&mut RoundRobin::new())
-        .unwrap();
+    let outcome = Simulation::from_apps_with_params(
+        &machine,
+        vec![app.build().unwrap()],
+        1,
+        SimParams::default(),
+    )
+    .unwrap()
+    .run(&mut RoundRobin::new())
+    .unwrap();
     assert_eq!(outcome.total_work(), SimDuration::ZERO);
     assert!(outcome.threads.iter().all(|t| t.finish > SimTime::ZERO));
 }
@@ -116,14 +121,24 @@ fn energy_tracks_core_kind() {
     let spec = WorkloadSpec::single(BenchmarkId::Blackscholes, 4);
     let big = MachineConfig::all_big(4);
     let little = MachineConfig::all_little(4);
-    let on_big = Simulation::build_scaled(&big, &spec, 1, Scale::quick())
-        .unwrap()
-        .run(&mut RoundRobin::new())
-        .unwrap();
-    let on_little = Simulation::build_scaled(&little, &spec, 1, Scale::quick())
-        .unwrap()
-        .run(&mut RoundRobin::new())
-        .unwrap();
+    let on_big = Simulation::from_apps_with_params(
+        &big,
+        spec.instantiate(1, Scale::quick()),
+        1,
+        SimParams::default(),
+    )
+    .unwrap()
+    .run(&mut RoundRobin::new())
+    .unwrap();
+    let on_little = Simulation::from_apps_with_params(
+        &little,
+        spec.instantiate(1, Scale::quick()),
+        1,
+        SimParams::default(),
+    )
+    .unwrap()
+    .run(&mut RoundRobin::new())
+    .unwrap();
     assert!(on_big.makespan < on_little.makespan, "big cores are faster");
     assert!(
         on_big.energy.total_joules() > on_little.energy.total_joules(),
@@ -195,7 +210,7 @@ fn steal_running_preserves_conservation() {
     let workload = WorkloadSpec::single(BenchmarkId::Blackscholes, 3);
     let apps = workload.instantiate(4, Scale::quick());
     let demand: SimDuration = apps.iter().map(|a| a.total_compute()).sum();
-    let outcome = Simulation::from_apps(&machine, apps, 4)
+    let outcome = Simulation::from_apps_with_params(&machine, apps, 4, SimParams::default())
         .unwrap()
         .run(&mut GreedyStealer {
             queue: Vec::new(),
@@ -251,12 +266,17 @@ impl Scheduler for AlwaysPreempt {
 fn aggressive_wakeup_preemption_stays_correct() {
     let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
     let workload = WorkloadSpec::single(BenchmarkId::Fluidanimate, 6);
-    let outcome = Simulation::build_scaled(&machine, &workload, 2, Scale::quick())
-        .unwrap()
-        .run(&mut AlwaysPreempt {
-            inner: RoundRobin::new(),
-        })
-        .unwrap();
+    let outcome = Simulation::from_apps_with_params(
+        &machine,
+        workload.instantiate(2, Scale::quick()),
+        2,
+        SimParams::default(),
+    )
+    .unwrap()
+    .run(&mut AlwaysPreempt {
+        inner: RoundRobin::new(),
+    })
+    .unwrap();
     let preemptions: u64 = outcome.threads.iter().map(|t| t.preemptions).sum();
     assert!(preemptions > 0, "futex wakes must have preempted someone");
     for t in &outcome.threads {
@@ -272,7 +292,7 @@ fn single_core_machine_serializes_everything() {
     let workload = WorkloadSpec::single(BenchmarkId::Bodytrack, 4);
     let apps = workload.instantiate(3, Scale::quick());
     let demand: SimDuration = apps.iter().map(|a| a.total_compute()).sum();
-    let outcome = Simulation::from_apps(&machine, apps, 3)
+    let outcome = Simulation::from_apps_with_params(&machine, apps, 3, SimParams::default())
         .unwrap()
         .run(&mut RoundRobin::new())
         .unwrap();
@@ -292,14 +312,24 @@ fn core_frequency_scales_execution_rate() {
         kind: CoreKind::Little,
         freq_ghz: 2.4,
     }]);
-    let slow = Simulation::build_scaled(&stock, &spec, 2, Scale::quick())
-        .unwrap()
-        .run(&mut RoundRobin::new())
-        .unwrap();
-    let fast = Simulation::build_scaled(&boosted, &spec, 2, Scale::quick())
-        .unwrap()
-        .run(&mut RoundRobin::new())
-        .unwrap();
+    let slow = Simulation::from_apps_with_params(
+        &stock,
+        spec.instantiate(2, Scale::quick()),
+        2,
+        SimParams::default(),
+    )
+    .unwrap()
+    .run(&mut RoundRobin::new())
+    .unwrap();
+    let fast = Simulation::from_apps_with_params(
+        &boosted,
+        spec.instantiate(2, Scale::quick()),
+        2,
+        SimParams::default(),
+    )
+    .unwrap()
+    .run(&mut RoundRobin::new())
+    .unwrap();
     let ratio = slow.makespan.as_secs_f64() / fast.makespan.as_secs_f64();
     assert!(
         (ratio - 2.0).abs() < 0.05,
@@ -323,14 +353,20 @@ fn staggered_arrivals_are_respected() {
         .instantiate(2, Scale::quick())
         .remove(0);
     let arrival = SimTime::from_millis(20);
-    let sim = Simulation::from_apps_with_arrivals(
-        &machine,
-        vec![(early, SimTime::ZERO), (late, arrival)],
-        3,
-        SimParams::default(),
-    )
-    .unwrap();
-    let outcome = sim.run(&mut RoundRobin::new()).unwrap();
+    let load = |arrivals: Vec<SimTime>| {
+        let apps = vec![early.clone(), late.clone()];
+        Simulation::from_apps_with_params(&machine, apps, 3, SimParams::default())
+            .unwrap()
+            .with_arrivals(arrivals)
+    };
+    // Anything but one arrival per application is a typed error.
+    for wrong in [vec![], vec![arrival], vec![SimTime::ZERO, arrival, arrival]] {
+        assert!(matches!(load(wrong), Err(Error::InvalidConfig(_))));
+    }
+    let outcome = load(vec![SimTime::ZERO, arrival])
+        .unwrap()
+        .run(&mut RoundRobin::new())
+        .unwrap();
 
     // The late app's threads run nothing before their arrival.
     let late_threads: Vec<_> = outcome

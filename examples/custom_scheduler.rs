@@ -81,7 +81,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "policy", "makespan", "switches", "migrations"
     );
     for run in 0..3 {
-        let sim = Simulation::build(&machine, &workload, 11)?;
+        let apps = workload.instantiate(11, Scale::default());
+        let sim = Simulation::from_apps_with_params(&machine, apps, 11, SimParams::default())?;
         let outcome = match run {
             0 => sim.run(&mut BigFirstFifo {
                 queue: VecDeque::new(),

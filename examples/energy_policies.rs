@@ -27,7 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "policy", "makespan", "energy(J)", "idle(J)", "EDP(J·s)"
     );
     for which in 0..4 {
-        let sim = Simulation::build(&machine, &workload, 21)?;
+        let apps = workload.instantiate(21, Scale::default());
+        let sim = Simulation::from_apps_with_params(&machine, apps, 21, SimParams::default())?;
         let outcome = match which {
             0 => sim.run(&mut CfsScheduler::new(&machine))?,
             1 => sim.run(&mut GtsScheduler::new(&machine))?,

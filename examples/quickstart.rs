@@ -28,9 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Isolated big-only baselines (T_SB) for the heterogeneous metrics.
     let big_twin = machine.big_only_twin();
     let mut baselines = Vec::new();
-    for app in workload.instantiate(42, colab_suite::workloads::Scale::default()) {
-        let outcome = Simulation::from_apps(&big_twin, vec![app], 42)?
-            .run(&mut CfsScheduler::new(&big_twin))?;
+    for app in workload.instantiate(42, Scale::default()) {
+        let sim =
+            Simulation::from_apps_with_params(&big_twin, vec![app], 42, SimParams::default())?;
+        let outcome = sim.run(&mut CfsScheduler::new(&big_twin))?;
         baselines.push(outcome.apps[0].turnaround);
     }
 
@@ -41,7 +42,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for run in 0..3 {
-        let sim = Simulation::build(&machine, &workload, 42)?;
+        let apps = workload.instantiate(42, Scale::default());
+        let sim = Simulation::from_apps_with_params(&machine, apps, 42, SimParams::default())?;
         let outcome = match run {
             0 => sim.run(&mut CfsScheduler::new(&machine))?,
             1 => sim.run(&mut WashScheduler::new(&machine, model.clone()))?,

@@ -7,8 +7,6 @@
 //! ```
 
 use colab_suite::prelude::*;
-use colab_suite::sim::SimParams;
-use colab_suite::workloads::{Scale, WorkloadSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = WorkloadSpec::named(
@@ -32,17 +30,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for which in 0..4 {
         let machine = MachineConfig::paper_2b4s(CoreOrder::BigFirst);
         let apps = workload.instantiate(17, Scale::default());
-        let staged: Vec<_> = apps
-            .into_iter()
-            .enumerate()
-            .map(|(i, app)| (app, SimTime::from_nanos(gap.as_nanos() * i as u64)))
+        let arrivals = (0..apps.len() as u64)
+            .map(|i| SimTime::from_nanos(gap.as_nanos() * i))
             .collect();
-        let sim = colab_suite::sim::Simulation::from_apps_with_arrivals(
-            &machine,
-            staged,
-            17,
-            SimParams::default(),
-        )?;
+        let sim = Simulation::from_apps_with_params(&machine, apps, 17, SimParams::default())?
+            .with_arrivals(arrivals)?;
         let outcome = match which {
             0 => sim.run(&mut CfsScheduler::new(&machine))?,
             1 => sim.run(&mut GtsScheduler::new(&machine))?,

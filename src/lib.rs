@@ -21,7 +21,8 @@
 //! let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
 //! let workload = WorkloadSpec::single(BenchmarkId::Blackscholes, 4);
 //! let model = SpeedupModel::heuristic();
-//! let outcome = Simulation::build(&machine, &workload, 42)
+//! let apps = workload.instantiate(42, Scale::quick());
+//! let outcome = Simulation::from_apps_with_params(&machine, apps, 42, SimParams::default())
 //!     .expect("valid workload")
 //!     .run(&mut ColabScheduler::new(&machine, model))
 //!     .expect("simulation completes");
@@ -48,10 +49,10 @@ pub mod prelude {
         CfsScheduler, ColabScheduler, EqualProgressScheduler, GtsScheduler, Scheduler,
         WashScheduler,
     };
-    pub use amp_sim::{Simulation, SimulationOutcome};
+    pub use amp_sim::{SimParams, Simulation, SimulationOutcome};
     pub use amp_types::{
         AppId, CoreId, CoreKind, CoreOrder, MachineConfig, SimDuration, SimTime, ThreadId,
     };
-    pub use amp_workloads::{BenchmarkId, WorkloadSpec};
+    pub use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
     pub use colab::{ExperimentConfig, Harness};
 }

@@ -12,8 +12,13 @@ fn every_paper_workload_runs_under_every_scheduler() {
         let spec = workload.spec();
         let mut makespans = Vec::new();
         for which in 0..4 {
-            let sim = Simulation::build_scaled(&machine, &spec, 13, Scale::quick())
-                .unwrap_or_else(|e| panic!("{workload}: {e}"));
+            let sim = Simulation::from_apps_with_params(
+                &machine,
+                spec.instantiate(13, Scale::quick()),
+                13,
+                SimParams::default(),
+            )
+            .unwrap_or_else(|e| panic!("{workload}: {e}"));
             let outcome = match which {
                 0 => sim.run(&mut CfsScheduler::new(&machine)),
                 1 => sim.run(&mut GtsScheduler::new(&machine)),

@@ -15,7 +15,7 @@
 //!    which never attaches a plan at all.
 
 use amp_perf::SpeedupModel;
-use amp_sim::{FaultPlan, Simulation, SimulationOutcome};
+use amp_sim::{FaultPlan, SimParams, Simulation, SimulationOutcome};
 use amp_types::{CoreOrder, MachineConfig, SimDuration};
 use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
 use colab::SchedulerKind;
@@ -38,10 +38,15 @@ fn spec() -> WorkloadSpec {
 fn run_with_plan(kind: SchedulerKind, seed: u64, plan: FaultPlan) -> SimulationOutcome {
     let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
     let model = SpeedupModel::heuristic();
-    let sim = Simulation::build_scaled(&machine, &spec(), seed, Scale::quick())
-        .expect("workload builds")
-        .with_fault_plan(plan)
-        .expect("plan is valid for the machine");
+    let sim = Simulation::from_apps_with_params(
+        &machine,
+        spec().instantiate(seed, Scale::quick()),
+        seed,
+        SimParams::default(),
+    )
+    .expect("workload builds")
+    .with_fault_plan(plan)
+    .expect("plan is valid for the machine");
     let mut sched = kind.create(&machine, &model);
     sim.run(sched.as_mut()).expect("faulted run completes")
 }
@@ -85,10 +90,15 @@ fn empty_fault_plan_is_byte_identical_to_plain_run() {
     for kind in FIVE {
         let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
         let model = SpeedupModel::heuristic();
-        let plain = Simulation::build_scaled(&machine, &spec(), 7, Scale::quick())
-            .unwrap()
-            .run(kind.create(&machine, &model).as_mut())
-            .unwrap();
+        let plain = Simulation::from_apps_with_params(
+            &machine,
+            spec().instantiate(7, Scale::quick()),
+            7,
+            SimParams::default(),
+        )
+        .unwrap()
+        .run(kind.create(&machine, &model).as_mut())
+        .unwrap();
         let faulted = run_with_plan(kind, 7, FaultPlan::empty());
 
         assert!(faulted.degradation.is_clean(), "{}", kind.name());
@@ -166,9 +176,14 @@ fn offlining_the_last_core_is_a_typed_error_not_a_panic() {
         .collect();
     let plan = FaultPlan::from_events(0, events);
     let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
-    let attached = Simulation::build_scaled(&machine, &spec(), 1, Scale::quick())
-        .unwrap()
-        .with_fault_plan(plan);
+    let attached = Simulation::from_apps_with_params(
+        &machine,
+        spec().instantiate(1, Scale::quick()),
+        1,
+        SimParams::default(),
+    )
+    .unwrap()
+    .with_fault_plan(plan);
     match attached {
         Ok(_) => panic!("a machine-draining plan must be rejected"),
         Err(err) => assert!(

@@ -10,7 +10,13 @@ fn outcomes(spec: &WorkloadSpec, seed: u64) -> Vec<SimulationOutcome> {
     let model = SpeedupModel::heuristic();
     let mut out = Vec::new();
     for run in 0..3 {
-        let sim = Simulation::build_scaled(&machine, spec, seed, Scale::new(0.5)).unwrap();
+        let sim = Simulation::from_apps_with_params(
+            &machine,
+            spec.instantiate(seed, Scale::new(0.5)),
+            seed,
+            SimParams::default(),
+        )
+        .unwrap();
         out.push(match run {
             0 => sim.run(&mut CfsScheduler::new(&machine)).unwrap(),
             1 => sim.run(&mut WashScheduler::new(&machine, model.clone())).unwrap(),
@@ -123,7 +129,13 @@ fn caused_wait_is_conserved_against_blocked_time() {
 fn makespan_bounded_by_serial_and_ideal_parallel_work() {
     let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
     let spec = WorkloadSpec::single(BenchmarkId::Blackscholes, 8);
-    let sim = Simulation::build_scaled(&machine, &spec, 8, Scale::new(0.5)).unwrap();
+    let sim = Simulation::from_apps_with_params(
+        &machine,
+        spec.instantiate(8, Scale::new(0.5)),
+        8,
+        SimParams::default(),
+    )
+    .unwrap();
     let total_demand = sim_total_demand(&spec, 8);
     let outcome = sim.run(&mut CfsScheduler::new(&machine)).unwrap();
     // Lower bound: perfect parallelism on 4 big-core-equivalents.

@@ -14,7 +14,13 @@ fn spec() -> WorkloadSpec {
 
 fn run(order: CoreOrder, seed: u64, which: usize) -> SimulationOutcome {
     let machine = MachineConfig::asymmetric(2, 2, order);
-    let sim = Simulation::build_scaled(&machine, &spec(), seed, Scale::new(0.4)).unwrap();
+    let sim = Simulation::from_apps_with_params(
+        &machine,
+        spec().instantiate(seed, Scale::new(0.4)),
+        seed,
+        SimParams::default(),
+    )
+    .unwrap();
     let model = SpeedupModel::heuristic();
     match which {
         0 => sim.run(&mut CfsScheduler::new(&machine)).unwrap(),

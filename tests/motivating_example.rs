@@ -84,7 +84,8 @@ fn build_apps() -> Vec<AppSpec> {
 
 fn run(kind: &str) -> SimulationOutcome {
     let machine = MachineConfig::asymmetric(1, 1, CoreOrder::BigFirst);
-    let sim = Simulation::from_apps(&machine, build_apps(), 9).unwrap();
+    let sim =
+        Simulation::from_apps_with_params(&machine, build_apps(), 9, SimParams::default()).unwrap();
     let model = SpeedupModel::heuristic();
     match kind {
         "linux" => sim.run(&mut CfsScheduler::new(&machine)).unwrap(),

@@ -101,10 +101,11 @@ fn phase_change_alters_execution_speed() {
     // a big core baseline: total work is 2×half at big-core speed, so the
     // big-only makespan is close to 240 ms for the chameleon alone.
     let machine = MachineConfig::all_big(1);
-    let sim = colab_suite::sim::Simulation::from_apps(
+    let sim = colab_suite::sim::Simulation::from_apps_with_params(
         &machine,
         vec![build_workload().remove(0)],
         3,
+        SimParams::default(),
     )
     .unwrap();
     let outcome = sim
@@ -120,10 +121,11 @@ fn phase_change_alters_execution_speed() {
     // compute phase (speedup 1.x vs 2.x), so the total exceeds 240 ms by
     // the blended speedup factor.
     let little = MachineConfig::all_little(1);
-    let sim = colab_suite::sim::Simulation::from_apps(
+    let sim = colab_suite::sim::Simulation::from_apps_with_params(
         &little,
         vec![build_workload().remove(0)],
         3,
+        SimParams::default(),
     )
     .unwrap();
     let slow = sim.run(&mut CfsScheduler::new(&little)).unwrap();

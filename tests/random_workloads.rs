@@ -51,7 +51,13 @@ proptest! {
             .sum();
 
         for which in 0..3 {
-            let sim = Simulation::build_scaled(&machine, &spec, seed, Scale::quick()).unwrap();
+            let sim = Simulation::from_apps_with_params(
+                &machine,
+                spec.instantiate(seed, Scale::quick()),
+                seed,
+                SimParams::default(),
+            )
+            .unwrap();
             let outcome = match which {
                 0 => sim.run(&mut CfsScheduler::new(&machine)),
                 1 => sim.run(&mut WashScheduler::new(&machine, model.clone())),

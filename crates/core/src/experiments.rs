@@ -426,8 +426,7 @@ fn order_pair(
 }
 
 /// Simulates a study's runs in order, reducing each outcome with `keep`
-/// as soon as it finishes, so a study holds no more than one outcome at
-/// a time.
+/// as soon as it finishes, so only the reduced values accumulate.
 fn simulate_all<T>(
     h: &Harness,
     runs: impl IntoIterator<Item = RunSpec>,

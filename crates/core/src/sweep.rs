@@ -476,6 +476,54 @@ mod tests {
     }
 
     #[test]
+    fn memoized_histograms_store_only_their_occupied_window() {
+        let mut plan = SweepPlan::new();
+        let specs = [
+            WorkloadSpec::single(BenchmarkId::Ferret, 6),
+            WorkloadSpec::single(BenchmarkId::Swaptions, 4),
+        ];
+        plan.add_grid(&specs, &[(2, 2), (4, 2)], &SchedulerKind::ALL);
+
+        let mut serial = Harness::new(ExperimentConfig::quick()).unwrap();
+        let mut parallel = Harness::new(ExperimentConfig::quick()).unwrap();
+        parallel.run_plan(&plan, 2).unwrap();
+        for cell in plan.cells() {
+            serial
+                .mix(&cell.workload, cell.big, cell.little, cell.kind)
+                .unwrap();
+        }
+
+        let cells = parallel.telemetry_cells();
+        assert_eq!(cells.len(), plan.len());
+        let mut futex_samples = 0;
+        for ((_, _, _, report), (_, _, _, reference)) in cells.iter().zip(serial.telemetry_cells())
+        {
+            assert_eq!(*report, reference);
+            futex_samples += report.futex_block.count();
+            for h in [
+                &report.wakeup_to_run,
+                &report.runqueue_wait,
+                &report.futex_block,
+            ] {
+                let (_, window) = h.window();
+                assert_eq!(window.iter().sum::<u64>(), h.count());
+                assert_eq!(h.heap_bytes(), std::mem::size_of_val(window));
+                if h.is_empty() {
+                    continue;
+                }
+                assert!(
+                    window.len() < h.bucket_counts().len(),
+                    "{} slots",
+                    window.len()
+                );
+                assert_ne!(window[0], 0);
+                assert_ne!(window[window.len() - 1], 0);
+            }
+        }
+        assert!(futex_samples > 0, "the plan exercises every histogram");
+    }
+
+    #[test]
     fn rerunning_a_plan_is_all_cache_hits() {
         let spec = WorkloadSpec::single(BenchmarkId::Blackscholes, 4);
         let mut plan = SweepPlan::new();

@@ -1397,8 +1397,9 @@ impl Simulation {
             per_core_joules.push(active + idle);
         }
 
-        let telemetry = self.telemetry.borrow().report();
-        let telemetry_events = self.telemetry.borrow().events().copied().collect();
+        let telemetry = self.telemetry.into_inner();
+        let telemetry_events = telemetry.events().copied().collect();
+        let telemetry = telemetry.into_report();
         SimulationOutcome {
             scheduler: scheduler.to_string(),
             makespan,

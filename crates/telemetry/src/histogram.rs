@@ -2,8 +2,10 @@
 //!
 //! Values (nanoseconds) land in buckets that are exact below 16 ns and
 //! thereafter subdivide each power of two into 16 linear sub-buckets,
-//! bounding the relative quantile error at ~6.25% while keeping the
-//! whole histogram a fixed ~1k-slot array that merges by addition.
+//! bounding the relative quantile error at ~6.25% over 976 buckets that
+//! merge by addition. Only the occupied window — from the lowest to the
+//! highest non-empty bucket — is stored, so an empty histogram allocates
+//! nothing and a typical run's histogram holds a few hundred slots.
 
 use std::fmt;
 
@@ -17,8 +19,14 @@ const SUB: usize = 1 << SUB_BITS;
 const BUCKETS: usize = SUB + (64 - SUB_BITS as usize) * SUB;
 
 /// A latency histogram over `u64` nanosecond values.
+///
+/// Bucket `lo + i` holds `counts[i]`. The window is canonical: it is
+/// empty (with `lo == 0`) when no sample has been recorded, and
+/// otherwise its first and last slots are non-zero, so two histograms
+/// with equal content compare equal whatever order they were built in.
 #[derive(Clone, PartialEq)]
 pub struct LatencyHistogram {
+    lo: usize,
     counts: Vec<u64>,
     count: u64,
     sum: u64,
@@ -36,7 +44,8 @@ impl LatencyHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
         LatencyHistogram {
-            counts: vec![0; BUCKETS],
+            lo: 0,
+            counts: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -69,10 +78,41 @@ impl LatencyHistogram {
         }
     }
 
+    /// Widens the stored window to cover buckets `lo ..= hi`, in one
+    /// exactly-sized allocation. The caller must then make both ends of
+    /// the new window non-zero.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        if self.counts.is_empty() {
+            self.lo = lo;
+            self.counts = vec![0; hi - lo + 1];
+            return;
+        }
+        let lo = lo.min(self.lo);
+        let hi = hi.max(self.lo + self.counts.len() - 1);
+        if lo == self.lo && hi == self.lo + self.counts.len() - 1 {
+            return;
+        }
+        let mut counts = vec![0; hi - lo + 1];
+        let offset = self.lo - lo;
+        counts[offset..offset + self.counts.len()].copy_from_slice(&self.counts);
+        self.lo = lo;
+        self.counts = counts;
+    }
+
     /// Records one duration sample.
     pub fn record(&mut self, value: SimDuration) {
         let v = value.as_nanos();
-        self.counts[Self::bucket_index(v)] += 1;
+        let index = Self::bucket_index(v);
+        match index
+            .checked_sub(self.lo)
+            .and_then(|i| self.counts.get_mut(i))
+        {
+            Some(slot) => *slot += 1,
+            None => {
+                self.cover(index, index);
+                self.counts[index - self.lo] += 1;
+            }
+        }
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
@@ -122,24 +162,44 @@ impl LatencyHistogram {
         let q = q.clamp(0.0, 1.0);
         let target = ((q * self.count as f64).ceil() as u64).max(1);
         let mut cumulative = 0u64;
-        for (index, &n) in self.counts.iter().enumerate() {
+        for (i, &n) in self.counts.iter().enumerate() {
             cumulative += n;
             if cumulative >= target {
-                return SimDuration::from_nanos(Self::bucket_upper_bound(index).min(self.max));
+                let upper = Self::bucket_upper_bound(self.lo + i);
+                return SimDuration::from_nanos(upper.min(self.max));
             }
         }
         SimDuration::from_nanos(self.max)
     }
 
-    /// Per-bucket counts, for conservation checks and export.
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
+    /// All 976 per-bucket counts, indexed by bucket, for conservation
+    /// checks and export.
+    pub fn bucket_counts(&self) -> Vec<u64> {
+        let mut dense = vec![0; BUCKETS];
+        dense[self.lo..self.lo + self.counts.len()].copy_from_slice(&self.counts);
+        dense
+    }
+
+    /// The stored window: the index of its first bucket and the counts
+    /// from there through the last non-empty bucket (empty when no
+    /// sample has been recorded).
+    pub fn window(&self) -> (usize, &[u64]) {
+        (self.lo, &self.counts)
+    }
+
+    /// Heap bytes held by the bucket storage.
+    pub fn heap_bytes(&self) -> usize {
+        self.counts.capacity() * std::mem::size_of::<u64>()
     }
 
     /// Folds another histogram into this one (bucketwise addition).
     pub fn absorb(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
+        if !other.counts.is_empty() {
+            self.cover(other.lo, other.lo + other.counts.len() - 1);
+            let offset = other.lo - self.lo;
+            for (a, b) in self.counts[offset..].iter_mut().zip(&other.counts) {
+                *a += b;
+            }
         }
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);

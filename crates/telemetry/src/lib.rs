@@ -112,17 +112,18 @@ impl Telemetry {
         self.ring.dropped()
     }
 
-    /// Snapshots the aggregatable state into a report (the ring's raw
-    /// events stay behind; only their totals travel).
-    pub fn report(&self) -> TelemetryReport {
+    /// Consumes the collector into a report, moving the counters and
+    /// histograms rather than copying them (the ring's raw events stay
+    /// behind; only their totals travel).
+    pub fn into_report(self) -> TelemetryReport {
         TelemetryReport {
             runs: 1,
-            counters: self.counters.clone(),
-            wakeup_to_run: self.wakeup_to_run.clone(),
-            runqueue_wait: self.runqueue_wait.clone(),
-            futex_block: self.futex_block.clone(),
             events_seen: self.ring.seen(),
             events_dropped: self.ring.dropped(),
+            counters: self.counters,
+            wakeup_to_run: self.wakeup_to_run,
+            runqueue_wait: self.runqueue_wait,
+            futex_block: self.futex_block,
         }
     }
 

@@ -11,11 +11,15 @@
 //! as [`SweepCell::stable_hash`](crate::SweepCell::stable_hash) so keys
 //! are stable across processes and platforms.
 //!
-//! Concurrency contract: workloads are compiled *outside* the lock
-//! (compilation walks whole op trees; the critical section is two map
-//! operations), and on a race the first inserted value wins so every
-//! caller shares one allocation. Interning is a pure cache — hit or
-//! miss, callers receive a compilation of exactly
+//! Concurrency contract: each key owns one slot behind its own mutex.
+//! The store-wide lock is held only to find or create that slot;
+//! compilation (which walks whole op trees) runs under the slot's lock,
+//! so callers racing on one key wait for a single compilation and
+//! callers on other keys proceed in parallel. `misses` therefore equals
+//! the number of distinct keys compiled, whatever the thread count. A
+//! failed compilation leaves the slot empty, so the error reaches its
+//! caller and the next lookup retries. Interning is a pure cache — hit
+//! or miss, callers receive a compilation of exactly
 //! `spec.instantiate(seed, scale)`, which is deterministic — so it
 //! cannot perturb simulation results, only skip redundant work.
 
@@ -31,18 +35,20 @@ use amp_workloads::{CompiledWorkload, Scale, WorkloadSpec};
 /// shared by the serial memoized path and every `run_plan` worker.
 #[derive(Debug, Default)]
 pub struct ProgramStore {
-    map: Mutex<HashMap<u64, Arc<CompiledWorkload>>>,
+    map: Mutex<HashMap<u64, Slot>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
+
+/// One key's entry: empty until its first successful compilation.
+type Slot = Arc<Mutex<Option<Arc<CompiledWorkload>>>>;
 
 /// Point-in-time interning statistics, for the `--bench-json` report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InternStats {
     /// Lookups served from the store.
     pub hits: u64,
-    /// Lookups that had to compile (== unique workloads compiled, up to
-    /// first-insert-wins races).
+    /// Lookups that had to compile (== unique workloads compiled).
     pub misses: u64,
 }
 
@@ -84,17 +90,35 @@ impl ProgramStore {
         seed: u64,
         scale: Scale,
     ) -> Result<Arc<CompiledWorkload>> {
-        let key = ProgramStore::key(spec, seed, scale);
-        if let Some(found) = self.map.lock().expect("program store poisoned").get(&key) {
+        self.intern(ProgramStore::key(spec, seed, scale), || {
+            CompiledWorkload::compile(spec, seed, scale)
+        })
+    }
+
+    /// Returns `key`'s compiled workload, running `compile` only if no
+    /// earlier call for `key` succeeded. Callers racing on one key wait
+    /// on its slot; an error is returned to its caller and not stored.
+    fn intern(
+        &self,
+        key: u64,
+        compile: impl FnOnce() -> Result<CompiledWorkload>,
+    ) -> Result<Arc<CompiledWorkload>> {
+        let slot = Arc::clone(
+            self.map
+                .lock()
+                .expect("program store poisoned")
+                .entry(key)
+                .or_default(),
+        );
+        let mut entry = slot.lock().expect("program store slot poisoned");
+        if let Some(found) = entry.as_ref() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(found));
         }
-        // Compile outside the lock; racing compilers produce identical
-        // streams, and the first insert wins so all callers share one.
-        let compiled = Arc::new(CompiledWorkload::compile(spec, seed, scale)?);
+        let compiled = Arc::new(compile()?);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.map.lock().expect("program store poisoned");
-        Ok(Arc::clone(map.entry(key).or_insert(compiled)))
+        *entry = Some(Arc::clone(&compiled));
+        Ok(compiled)
     }
 
     /// Current hit/miss counts.
@@ -109,6 +133,7 @@ impl ProgramStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amp_types::Error;
     use amp_workloads::BenchmarkId;
 
     #[test]
@@ -134,20 +159,43 @@ mod tests {
     }
 
     #[test]
+    fn compile_errors_propagate_and_are_not_cached() {
+        let store = ProgramStore::new();
+        let spec = WorkloadSpec::single(BenchmarkId::Dedup, 4);
+        let key = ProgramStore::key(&spec, 5, Scale::quick());
+        let failed = store.intern(key, || Err(Error::InvalidConfig("broken".into())));
+        assert!(matches!(failed, Err(Error::InvalidConfig(_))));
+        assert_eq!(store.stats(), InternStats { hits: 0, misses: 0 });
+        let compiled = store.get_or_compile(&spec, 5, Scale::quick()).unwrap();
+        let again = store.get_or_compile(&spec, 5, Scale::quick()).unwrap();
+        assert!(Arc::ptr_eq(&compiled, &again));
+        assert_eq!(store.stats(), InternStats { hits: 1, misses: 1 });
+    }
+
+    #[test]
     fn concurrent_lookups_converge_on_one_copy() {
         let store = ProgramStore::new();
         let spec = WorkloadSpec::single(BenchmarkId::Ferret, 5);
+        // All eight threads look the key up at once.
+        let start = std::sync::Barrier::new(8);
         let copies: Vec<Arc<CompiledWorkload>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
-                .map(|_| scope.spawn(|| store.get_or_compile(&spec, 3, Scale::quick()).unwrap()))
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        store.get_or_compile(&spec, 3, Scale::quick()).unwrap()
+                    })
+                })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         let map = store.map.lock().unwrap();
         assert_eq!(map.len(), 1);
-        let canonical = map.values().next().unwrap();
+        let slot = map.values().next().unwrap().lock().unwrap();
+        let canonical = slot.as_ref().unwrap();
         for copy in &copies {
             assert!(Arc::ptr_eq(copy, canonical));
         }
+        assert_eq!(store.stats(), InternStats { hits: 7, misses: 1 });
     }
 }

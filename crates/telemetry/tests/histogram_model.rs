@@ -175,16 +175,3 @@ fn new_histogram_holds_no_heap_storage() {
     assert_eq!(empty.heap_bytes(), 0);
     assert_eq!(LatencyHistogram::default().heap_bytes(), 0);
 }
-
-#[test]
-fn reference_model_bucket_edges() {
-    // The model's bucketing itself: exact below 16, contiguous above.
-    assert_eq!(bucket_of(15), 15);
-    assert_eq!(bucket_of(16), 16);
-    assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
-    assert_eq!(bucket_upper(BUCKETS - 1), u64::MAX);
-    for index in 16..BUCKETS - 1 {
-        assert_eq!(bucket_of(bucket_upper(index)), index);
-        assert_eq!(bucket_of(bucket_upper(index) + 1), index + 1);
-    }
-}

@@ -1,13 +1,18 @@
 //! Diagnostic: detailed per-scheduler stats for one paper workload.
 //!
 //! ```text
-//! diag [--jobs N] <WorkloadName> <big> <little> [scale]
+//! diag [--jobs N] [WORKLOAD [BIG [LITTLE [SCALE]]]]
 //! ```
 //!
 //! `--jobs N` runs the per-scheduler simulations on N worker threads
 //! (default: available parallelism). Each scheduler's block is rendered
 //! to a buffer and printed in the fixed policy order, so output is
 //! byte-identical for every N.
+//!
+//! An unknown workload or flag, a count that is not a positive integer
+//! or a scale that is not a finite positive number prints the usage to
+//! stderr and exits 1 before anything runs. `--help` (`-h`) prints the
+//! usage and exits 0.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -15,38 +20,93 @@ use std::process::ExitCode;
 use amp_perf::SpeedupModel;
 use amp_sim::SimParams;
 use amp_types::{CoreOrder, MachineConfig};
-use amp_workloads::{CompiledWorkload, PaperWorkload, Scale, WorkloadClass};
+use amp_workloads::{CompiledWorkload, PaperWorkload, Scale};
 use colab::sweep::parallel_map;
 use colab::{RunSpec, SchedulerKind};
 
-fn main() -> ExitCode {
+/// Printed by `--help` and after any argument error.
+const USAGE: &str = "\
+usage: diag [--jobs N] [WORKLOAD [BIG [LITTLE [SCALE]]]]
+
+  WORKLOAD  a Table 4 workload name: Sync-2, Rand-7, ... (default Sync-2)
+  BIG       big cores, a positive count (default 2)
+  LITTLE    little cores, a positive count (default 2)
+  SCALE     workload scale factor, finite and positive (default 1.0)
+  --jobs N  worker threads, a positive count (default: all cores)";
+
+struct Options {
+    jobs: usize,
+    workload: PaperWorkload,
+    big: usize,
+    little: usize,
+    scale: f64,
+}
+
+fn count(what: &str, value: &str) -> Result<usize, String> {
+    match value.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{what} must be a positive count, got {value}")),
+    }
+}
+
+/// Parses the command line; `Ok(None)` means `--help`.
+fn parse_args() -> Result<Option<Options>, String> {
     let mut jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut positional: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if arg == "--jobs" {
-            jobs = match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => n,
-                None => {
-                    eprintln!("error: --jobs needs a count");
-                    return ExitCode::FAILURE;
-                }
-            };
-        } else {
-            positional.push(arg);
+        match arg.as_str() {
+            "--jobs" => jobs = count("--jobs", &args.next().ok_or("--jobs needs a count")?)?,
+            "--help" | "-h" => return Ok(None),
+            flag if flag.starts_with("--") => return Err(format!("unrecognized argument {flag}")),
+            _ => positional.push(arg),
         }
     }
-    let name = positional.first().map(String::as_str).unwrap_or("Sync-2");
-    let big: usize = positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(2);
-    let little: usize = positional.get(2).and_then(|s| s.parse().ok()).unwrap_or(2);
-    let scale: f64 = positional.get(3).and_then(|s| s.parse().ok()).unwrap_or(1.0);
-
+    if let Some(extra) = positional.get(4) {
+        return Err(format!("unexpected argument {extra}"));
+    }
+    let name = positional.first().map_or("Sync-2", String::as_str);
     let workload = PaperWorkload::all()
         .into_iter()
         .find(|w| w.name() == name)
-        .unwrap_or_else(|| PaperWorkload::new(WorkloadClass::Sync, 2));
+        .ok_or_else(|| format!("unknown workload {name}"))?;
+    let big = positional.get(1).map_or(Ok(2), |v| count("BIG", v))?;
+    let little = positional.get(2).map_or(Ok(2), |v| count("LITTLE", v))?;
+    let scale = positional.get(3).map_or(Ok(1.0), |v| {
+        colab_bench::parse_scale(v).map_err(|e| format!("SCALE {e}"))
+    })?;
+    Ok(Some(Options {
+        jobs,
+        workload,
+        big,
+        little,
+        scale,
+    }))
+}
+
+fn main() -> ExitCode {
+    let Options {
+        jobs,
+        workload,
+        big,
+        little,
+        scale,
+    } = match parse_args() {
+        Ok(Some(options)) => options,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("error: {e}\n\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
     let spec = workload.spec();
-    println!("workload {} on {}B{}S scale {}", workload.name(), big, little, scale);
+    println!(
+        "workload {} on {big}B{little}S scale {scale}",
+        workload.name()
+    );
 
     let model = SpeedupModel::heuristic();
     let blocks = parallel_map(jobs, &SchedulerKind::ALL, |&kind| {

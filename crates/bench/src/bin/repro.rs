@@ -19,6 +19,9 @@
 //! stable down to about 0.25. `--heuristic-model` skips the offline
 //! training run and uses the analytic speedup model.
 //!
+//! `--check` prints the paper's shape claims and exits 1 if any fails,
+//! but only after every requested `--csv`/`--bench-json` file is written.
+//!
 //! `--jobs N` runs the experiment-cell sweep on N worker threads
 //! (default: the host's available parallelism; `--jobs 1` is the exact
 //! serial path). The sweep is planned up front and reduced in canonical
@@ -116,12 +119,7 @@ fn parse_args() -> Result<Option<Options>, String> {
             }
             "--scale" => {
                 let value = args.next().ok_or("--scale needs a value")?;
-                scale = value
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad --scale {value}: {e}"))?;
-                if !scale.is_finite() || scale <= 0.0 {
-                    return Err("--scale must be positive".into());
-                }
+                scale = colab_bench::parse_scale(&value).map_err(|e| format!("--scale {e}"))?;
             }
             "--heuristic-model" => train = false,
             "--help" | "-h" => return Ok(None),
@@ -299,13 +297,14 @@ fn main() -> ExitCode {
         println!();
     }
 
+    // A failed shape claim still writes every requested file; the exit
+    // status reports it at the end.
+    let mut shapes_hold = true;
     if wants("check") {
         match experiments::shape_check(&mut harness) {
             Ok(report) => {
                 println!("{report}");
-                if !report.all_pass() {
-                    return ExitCode::FAILURE;
-                }
+                shapes_hold = report.all_pass();
             }
             Err(e) => {
                 eprintln!("error running shape check: {e}");
@@ -342,5 +341,9 @@ fn main() -> ExitCode {
         start.elapsed(),
         harness.cells_evaluated()
     );
-    ExitCode::SUCCESS
+    if shapes_hold {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -1,16 +1,16 @@
 //! Visualizes one workload's schedule as a per-core text timeline.
 //!
 //! ```text
-//! timeline [workload] [scheduler] [scale]
-//!   workload:  a Table 4 name (Sync-2, Rand-7, …) or a benchmark name
-//!              for single-program mode (default: ferret)
-//!   scheduler: linux | gts | wash | colab (default: colab)
-//!   scale:     workload scale factor (default: 0.25)
+//! timeline [WORKLOAD [SCHEDULER [SCALE]]]
 //! ```
 //!
 //! Each row is a core; each letter is the thread running there (`A` =
 //! thread 0); `.` is idle time. The legend maps letters to thread roles
 //! and criticality, and a decision-telemetry block summarizes the run.
+//!
+//! An unknown workload, scheduler or flag, or a scale that is not a
+//! finite positive number prints the usage to stderr and exits 1 before
+//! anything runs. `--help` (`-h`) prints the usage and exits 0.
 //!
 //! The execution trace is bounded ([`SimParams::trace_capacity`]):
 //! recording stops once the buffer fills and later events are *dropped*
@@ -18,11 +18,22 @@
 //! The telemetry event ring is bounded too but keeps the most *recent*
 //! events (drop-oldest). Both report how much was dropped.
 
+use std::process::ExitCode;
+
 use amp_perf::SpeedupModel;
 use amp_sim::SimParams;
 use amp_types::{CoreOrder, MachineConfig};
 use amp_workloads::{BenchmarkId, CompiledWorkload, PaperWorkload, Scale, WorkloadSpec};
 use colab::{RunSpec, SchedulerKind};
+
+/// Printed by `--help` and after any argument error.
+const USAGE: &str = "\
+usage: timeline [WORKLOAD [SCHEDULER [SCALE]]]
+
+  WORKLOAD   a Table 4 name (Sync-2, Rand-7, ...) or a benchmark name
+             for single-program mode (default: ferret)
+  SCHEDULER  linux | gts | wash | colab (default: colab)
+  SCALE      workload scale factor, finite and positive (default: 0.25)";
 
 fn resolve_workload(name: &str) -> Option<WorkloadSpec> {
     if let Some(w) = PaperWorkload::all().into_iter().find(|w| w.name() == name) {
@@ -34,22 +45,43 @@ fn resolve_workload(name: &str) -> Option<WorkloadSpec> {
         .map(|b| WorkloadSpec::single(b, b.clamp_threads(4)))
 }
 
-fn resolve_scheduler(name: &str) -> SchedulerKind {
-    SchedulerKind::EXTENDED
+/// Parses the command line; `Ok(None)` means `--help`.
+fn parse_args() -> Result<Option<(WorkloadSpec, SchedulerKind, f64)>, String> {
+    let mut positional: Vec<String> = Vec::new();
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--help" | "-h" => return Ok(None),
+            flag if flag.starts_with("--") => return Err(format!("unrecognized argument {flag}")),
+            _ => positional.push(arg),
+        }
+    }
+    if let Some(extra) = positional.get(3) {
+        return Err(format!("unexpected argument {extra}"));
+    }
+    let name = positional.first().map_or("ferret", String::as_str);
+    let spec = resolve_workload(name).ok_or_else(|| format!("unknown workload {name}"))?;
+    let name = positional.get(1).map_or("colab", String::as_str);
+    let kind = SchedulerKind::EXTENDED
         .into_iter()
         .find(|k| k.name() == name)
-        .unwrap_or(SchedulerKind::Colab)
+        .ok_or_else(|| format!("unknown scheduler {name}"))?;
+    let scale = positional.get(2).map_or(Ok(0.25), |v| {
+        colab_bench::parse_scale(v).map_err(|e| format!("SCALE {e}"))
+    })?;
+    Ok(Some((spec, kind, scale)))
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let workload_name = args.first().map(String::as_str).unwrap_or("ferret");
-    let kind = resolve_scheduler(args.get(1).map(String::as_str).unwrap_or("colab"));
-    let scale: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0.25);
-
-    let Some(spec) = resolve_workload(workload_name) else {
-        eprintln!("unknown workload {workload_name}; use a Table 4 name or a benchmark name");
-        std::process::exit(1);
+fn main() -> ExitCode {
+    let (spec, kind, scale) = match parse_args() {
+        Ok(Some(parsed)) => parsed,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("error: {e}\n\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
     };
 
     let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
@@ -65,8 +97,8 @@ fn main() {
     let outcome = match outcome {
         Ok(outcome) => outcome,
         Err(e) => {
-            eprintln!("error running {} on {workload_name}: {e}", kind.name());
-            std::process::exit(1);
+            eprintln!("error running {} on {}: {e}", kind.name(), spec.name());
+            return ExitCode::FAILURE;
         }
     };
 
@@ -106,4 +138,5 @@ fn main() {
 
     println!("\ndecision telemetry:");
     print!("{}", outcome.telemetry);
+    ExitCode::SUCCESS
 }

@@ -10,6 +10,16 @@ use amp_types::{CoreOrder, MachineConfig, SimTime, ThreadId};
 use amp_workloads::{CompiledWorkload, Scale, WorkloadSpec};
 use colab::{ExperimentConfig, Harness, RunSpec, SchedulerKind};
 
+/// Parses a workload scale given on a command line: a finite, positive
+/// factor (what [`Scale::new`] accepts). The error names the value; the
+/// caller prefixes the argument's name.
+pub fn parse_scale(value: &str) -> Result<f64, String> {
+    match value.parse::<f64>() {
+        Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
+        _ => Err(format!("must be finite and positive, got {value}")),
+    }
+}
+
 /// Builds a harness at the given scale, optionally with the trained
 /// Table 2 model (the full pipeline) instead of the analytic heuristic.
 ///
@@ -276,5 +286,5 @@ pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome)
         };
         trace.instant(name, "sched", PID, stamped.core.index() as u64, us(stamped.at), &args);
     }
-    trace.to_json()
+    trace.into_json()
 }

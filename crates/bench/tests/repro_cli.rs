@@ -1,5 +1,6 @@
 //! `repro` accepts only the targets it evaluates: an unknown flag is an
-//! error before any harness is built, and `--help` prints the usage.
+//! error before any harness is built, and `--help` prints the usage. A
+//! failed `--check` still writes every requested file.
 
 use std::process::{Command, Output};
 
@@ -64,4 +65,34 @@ fn known_targets_still_run() {
     let stdout = text(&out.stdout);
     assert!(stdout.contains("Table 3"), "{stdout}");
     assert!(stdout.contains("Table 4"), "{stdout}");
+}
+
+#[test]
+fn failed_shape_check_still_writes_requested_files() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro-failed-check");
+    let _ = std::fs::remove_dir_all(&dir);
+    let csv = dir.join("csv");
+    let bench = dir.join("bench.json");
+    // At this scale the heuristic model fails at least one shape claim.
+    let out = repro(&[
+        "--check",
+        "--heuristic-model",
+        "--scale",
+        "0.05",
+        "--jobs",
+        "2",
+        "--csv",
+        csv.to_str().unwrap(),
+        "--bench-json",
+        bench.to_str().unwrap(),
+    ]);
+    let stdout = text(&out.stdout);
+    assert!(stdout.contains("[FAIL]"), "{stdout}");
+    assert!(!out.status.success(), "a failed claim exits non-zero");
+    let csvs = std::fs::read_dir(&csv)
+        .map(|entries| entries.count())
+        .unwrap_or(0);
+    assert_eq!(csvs, 16, "every CSV is written: {}", text(&out.stderr));
+    let json = std::fs::read_to_string(&bench).expect("bench report written");
+    assert!(json.contains("colab-bench-run/1"), "{json}");
 }

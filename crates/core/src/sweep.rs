@@ -15,9 +15,9 @@
 //! The determinism contract, concretely:
 //!
 //! 1. every cell is a pure function of `(ExperimentConfig, SpeedupModel,
-//!    baselines, cell key)` — [`compute_cell`](crate::harness) constructs
-//!    a fresh simulation and scheduler per run; the only state shared
-//!    across cells is the [`ProgramStore`](crate::ProgramStore) of
+//!    baselines, cell key)` — `compute_cell` constructs a fresh
+//!    simulation and scheduler per run; the only state shared across
+//!    cells is the [`ProgramStore`](crate::ProgramStore) of
 //!    *immutable* compiled workloads, a pure memo of a deterministic
 //!    compilation (per-thread progress lives in the simulation, never in
 //!    the shared program);

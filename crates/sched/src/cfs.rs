@@ -1,6 +1,7 @@
 //! The Linux CFS baseline (and the mechanism layer WASH reuses).
 
-use amp_rbtree::RbTree;
+use std::collections::BTreeSet;
+
 use amp_sim::{EnqueueReason, Pick, SchedCtx, Scheduler, StopReason};
 use amp_types::{CoreId, MachineConfig, SimDuration, ThreadId};
 
@@ -27,11 +28,12 @@ impl Default for CfsTunables {
     }
 }
 
-/// One per-core runqueue: the red-black timeline keyed by
-/// `(vruntime, tid)`, plus the monotone `min_vruntime` reference.
+/// One per-core runqueue: the timeline ordered by `(vruntime, tid)`
+/// (the kernel keeps it in a red-black tree; only the order matters
+/// here), plus the monotone `min_vruntime` reference.
 #[derive(Debug, Default, Clone)]
 struct CfsRq {
-    tree: RbTree<(u64, u32), ()>,
+    tree: BTreeSet<(u64, u32)>,
     min_vruntime: u64,
 }
 
@@ -92,7 +94,7 @@ impl CfsEngine {
         let rq = &mut self.rqs[core.index()];
         let vrt = self.vruntime[thread.index()].max(rq.min_vruntime);
         self.vruntime[thread.index()] = vrt;
-        rq.tree.insert((vrt, thread.0), ());
+        rq.tree.insert((vrt, thread.0));
         self.queued_on[thread.index()] = Some(core);
     }
 
@@ -102,7 +104,7 @@ impl CfsEngine {
             return false;
         };
         let key = (self.vruntime[thread.index()], thread.0);
-        let removed = self.rqs[core.index()].tree.remove(&key).is_some();
+        let removed = self.rqs[core.index()].tree.remove(&key);
         debug_assert!(removed, "queued thread must be in its tree");
         removed
     }
@@ -110,7 +112,7 @@ impl CfsEngine {
     /// Pops the leftmost (minimum-vruntime) thread of a core's queue.
     pub fn pop_local(&mut self, core: CoreId) -> Option<ThreadId> {
         let rq = &mut self.rqs[core.index()];
-        let ((vrt, tid), ()) = rq.tree.pop_min()?;
+        let (vrt, tid) = rq.tree.pop_first()?;
         rq.min_vruntime = rq.min_vruntime.max(vrt);
         let thread = ThreadId::new(tid);
         self.queued_on[thread.index()] = None;
@@ -134,25 +136,25 @@ impl CfsEngine {
         core: CoreId,
         allowed: impl Fn(ThreadId, CoreId) -> bool,
     ) -> Option<ThreadId> {
-        let mut best: Option<(usize, CoreId, ThreadId, u64)> = None;
+        let mut best: Option<(usize, CoreId, ThreadId)> = None;
         for (ci, rq) in self.rqs.iter().enumerate() {
             let from = CoreId::new(ci as u32);
             if from == core || rq.tree.is_empty() {
                 continue;
             }
             // Leftmost stealable entry of this queue.
-            if let Some((&(vrt, tid), ())) = rq
+            if let Some(&(_, tid)) = rq
                 .tree
                 .iter()
-                .find(|(&(_, tid), ())| allowed(ThreadId::new(tid), core))
+                .find(|&&(_, tid)| allowed(ThreadId::new(tid), core))
             {
                 let load = rq.tree.len();
                 if best.as_ref().is_none_or(|&(l, ..)| load > l) {
-                    best = Some((load, from, ThreadId::new(tid), vrt));
+                    best = Some((load, from, ThreadId::new(tid)));
                 }
             }
         }
-        let (_, from, thread, _) = best?;
+        let (_, from, thread) = best?;
         self.dequeue(thread);
         // Normalize vruntime into the destination queue's frame.
         let old_min = self.rqs[from.index()].min_vruntime;
@@ -212,9 +214,9 @@ impl CfsEngine {
             let candidate = self.rqs[busiest.index()]
                 .tree
                 .iter()
-                .filter(|(&(_, tid), ())| allowed(ThreadId::new(tid), idlest))
-                .last()
-                .map(|(&(_, tid), ())| ThreadId::new(tid));
+                .rev()
+                .find(|&&(_, tid)| allowed(ThreadId::new(tid), idlest))
+                .map(|&(_, tid)| ThreadId::new(tid));
             let Some(thread) = candidate else { return };
             self.dequeue(thread);
             let old_min = self.rqs[busiest.index()].min_vruntime;
@@ -343,7 +345,7 @@ impl Scheduler for CfsScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amp_sim::{SimParams, Simulation};
+    use amp_sim::{FaultEvent, FaultKind, FaultPlan, SimParams, Simulation};
     use amp_types::{CoreOrder, SimTime};
     use amp_workloads::{BenchmarkId, Scale, WorkloadSpec};
 
@@ -438,6 +440,179 @@ mod tests {
         // placed at the minimum, not at 0 (no starvation of thread 0).
         e.enqueue(ThreadId::new(1), CoreId::new(0));
         assert_eq!(e.vruntime(ThreadId::new(1)), 100_000_000);
+    }
+
+    /// Pops a core's whole queue, in order.
+    fn queue_of(e: &mut CfsEngine, core: u32) -> Vec<u32> {
+        e.drain(CoreId::new(core))
+            .into_iter()
+            .map(|t| t.0)
+            .collect()
+    }
+
+    /// Gives `thread` a vruntime of `ms` milliseconds and queues it on
+    /// `core`, whose `min_vruntime` is still 0.
+    fn enqueue_at(e: &mut CfsEngine, thread: u32, ms: u64, core: u32) {
+        e.charge(ThreadId::new(thread), SimDuration::from_millis(ms));
+        e.enqueue(ThreadId::new(thread), CoreId::new(core));
+    }
+
+    #[test]
+    fn equal_vruntimes_pop_in_thread_id_order() {
+        let mut e = CfsEngine::new(1);
+        e.reset(4);
+        for tid in [3, 1, 2, 0] {
+            e.enqueue(ThreadId::new(tid), CoreId::new(0));
+        }
+        assert_eq!(queue_of(&mut e, 0), [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn drain_returns_threads_in_queue_order_and_empties_the_queue() {
+        let mut e = CfsEngine::new(2);
+        e.reset(5);
+        for (tid, ms) in [(4, 2), (0, 7), (3, 2), (1, 0), (2, 5)] {
+            enqueue_at(&mut e, tid, ms, 1);
+        }
+        let drained = e.drain(CoreId::new(1));
+        assert_eq!(drained, [1, 3, 4, 2, 0].map(ThreadId::new));
+        assert_eq!(e.nr_queued(CoreId::new(1)), 0);
+        assert!(
+            !e.dequeue(ThreadId::new(2)),
+            "drained threads are off the queue"
+        );
+        assert!(e.drain(CoreId::new(0)).is_empty());
+    }
+
+    #[test]
+    fn steal_takes_leftmost_allowed_entry_of_the_most_loaded_queue() {
+        let mut e = CfsEngine::new(3);
+        e.reset(6);
+        enqueue_at(&mut e, 0, 1, 1);
+        enqueue_at(&mut e, 1, 2, 1);
+        // Core 2 is the most loaded; its leftmost entry (thread 2) is not
+        // allowed, so its second one is taken.
+        enqueue_at(&mut e, 2, 1, 2);
+        enqueue_at(&mut e, 3, 3, 2);
+        enqueue_at(&mut e, 4, 4, 2);
+        let allowed = |t: ThreadId, to: CoreId| {
+            assert_eq!(to, CoreId::new(0), "asked for the stealing core");
+            t != ThreadId::new(2)
+        };
+        assert_eq!(e.steal_for(CoreId::new(0), allowed), Some(ThreadId::new(3)));
+        assert_eq!(queue_of(&mut e, 2), [2, 4]);
+
+        // A queue with no allowed entry is passed over, however loaded.
+        enqueue_at(&mut e, 2, 0, 2);
+        enqueue_at(&mut e, 3, 0, 2);
+        enqueue_at(&mut e, 4, 0, 2);
+        let only_core_1 = |t: ThreadId, _| t.0 < 2;
+        assert_eq!(
+            e.steal_for(CoreId::new(0), only_core_1),
+            Some(ThreadId::new(0))
+        );
+        // Never from its own queue, even when it is the most loaded.
+        assert_eq!(
+            e.steal_for(CoreId::new(2), |_, _| true),
+            Some(ThreadId::new(1))
+        );
+    }
+
+    /// A scheduler that never runs a thread and hands the first tick's
+    /// context (every core idle) to its probe, so the engine's
+    /// context-taking paths can be driven by hand.
+    struct TickProbe<F>(Option<F>);
+
+    impl<F: FnOnce(&SchedCtx<'_>) + Send> Scheduler for TickProbe<F> {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+        fn init(&mut self, _: &SchedCtx<'_>) {}
+        fn enqueue(&mut self, _: &SchedCtx<'_>, _: ThreadId, _: EnqueueReason) -> CoreId {
+            CoreId::new(0)
+        }
+        fn pick_next(&mut self, _: &SchedCtx<'_>, _: CoreId) -> Pick {
+            Pick::Idle
+        }
+        fn time_slice(&self, _: &SchedCtx<'_>, _: ThreadId, _: CoreId) -> SimDuration {
+            SimDuration::from_millis(1)
+        }
+        fn should_preempt(&self, _: &SchedCtx<'_>, _: ThreadId, _: CoreId, _: ThreadId) -> bool {
+            false
+        }
+        fn on_tick(&mut self, ctx: &SchedCtx<'_>) {
+            if let Some(probe) = self.0.take() {
+                probe(ctx);
+            }
+        }
+        fn on_stop(
+            &mut self,
+            _: &SchedCtx<'_>,
+            _: ThreadId,
+            _: CoreId,
+            _: SimDuration,
+            _: StopReason,
+        ) {
+        }
+    }
+
+    /// Runs `probe` on the first tick of a 2B2S machine whose core
+    /// `offline` was hot-unplugged before that tick.
+    fn probe_first_tick(offline: CoreId, probe: impl FnOnce(&SchedCtx<'_>) + Send) {
+        let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
+        let params = SimParams {
+            horizon: SimTime::from_millis(15),
+            ..SimParams::default()
+        };
+        let unplug = FaultPlan::from_events(
+            1,
+            vec![FaultEvent {
+                at: SimTime::from_millis(1),
+                kind: FaultKind::CoreOffline { core: offline },
+            }],
+        );
+        let apps =
+            WorkloadSpec::single(BenchmarkId::Blackscholes, 2).instantiate(5, Scale::quick());
+        let mut sched = TickProbe(Some(probe));
+        let result = Simulation::from_apps_with_params(&machine, apps, 5, params)
+            .unwrap()
+            .with_fault_plan(unplug)
+            .unwrap()
+            .run(&mut sched);
+        assert!(result.is_err(), "nothing runs, so the horizon ends the run");
+        assert!(sched.0.is_none(), "the probe ran");
+    }
+
+    #[test]
+    fn balance_moves_largest_allowed_vruntime_to_idlest_online_core() {
+        let mut e = CfsEngine::new(4);
+        e.reset(8);
+        for tid in 0..4 {
+            enqueue_at(&mut e, tid, u64::from(tid) + 1, 0);
+        }
+        enqueue_at(&mut e, 4, 0, 2);
+        enqueue_at(&mut e, 5, 0, 2);
+        enqueue_at(&mut e, 6, 0, 3);
+        // Loads 4/0/2/1, but core 1 is offline: core 3 is the idlest
+        // online core. Thread 3 (the largest vruntime) may not go there,
+        // so thread 2 moves; then loads 3/-/2/2 are balanced.
+        probe_first_tick(CoreId::new(1), |ctx| {
+            assert!(!ctx.core_online(CoreId::new(1)));
+            assert!((0..4).all(|c| ctx.running_on(CoreId::new(c)).is_none()));
+            e.balance(ctx, |t, to| {
+                assert_eq!(to, CoreId::new(3), "offered only to the idlest online core");
+                t != ThreadId::new(3)
+            });
+        });
+        assert_eq!(queue_of(&mut e, 0), [0, 1, 3]);
+        assert_eq!(queue_of(&mut e, 1), [] as [u32; 0]);
+        assert_eq!(queue_of(&mut e, 2), [4, 5]);
+        assert_eq!(queue_of(&mut e, 3), [6, 2]);
+        assert_eq!(
+            e.vruntime(ThreadId::new(2)),
+            3_000_000,
+            "same min_vruntime frame"
+        );
     }
 
     #[test]

@@ -7,10 +7,29 @@
 
 use std::fmt::Write as _;
 
+/// Head and tail of the JSON object Perfetto loads.
+const HEAD: &str = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+const TAIL: &str = "\n]}\n";
+
 /// Accumulates trace events and renders the JSON object Perfetto loads.
-#[derive(Debug, Default)]
+///
+/// Events are written straight into the document, so a trace holds its
+/// JSON once: not once per event and again as the joined whole.
+#[derive(Debug)]
 pub struct ChromeTrace {
-    events: Vec<String>,
+    /// The document so far: the head, then each event after its `,\n`
+    /// (`\n` for the first).
+    json: String,
+    len: usize,
+}
+
+impl Default for ChromeTrace {
+    fn default() -> Self {
+        ChromeTrace {
+            json: HEAD.to_string(),
+            len: 0,
+        }
+    }
 }
 
 fn escape_into(out: &mut String, text: &str) {
@@ -52,36 +71,44 @@ impl ChromeTrace {
 
     /// Number of events accumulated so far.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.len
     }
 
     /// Whether no events have been added.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len == 0
+    }
+
+    /// Starts the next event and returns the document to write it into.
+    fn event(&mut self) -> &mut String {
+        if self.len > 0 {
+            self.json.push(',');
+        }
+        self.json.push('\n');
+        self.len += 1;
+        &mut self.json
     }
 
     /// Names process `pid` (shown as a top-level group in the viewer).
     pub fn process_name(&mut self, pid: u64, name: &str) {
-        let mut e = String::new();
+        let e = self.event();
         let _ = write!(
             e,
             "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0"
         );
-        write_args(&mut e, &[("name", name.to_string())]);
+        write_args(e, &[("name", name.to_string())]);
         e.push('}');
-        self.events.push(e);
     }
 
     /// Names thread `tid` of process `pid` (a row in the viewer).
     pub fn thread_name(&mut self, pid: u64, tid: u64, name: &str) {
-        let mut e = String::new();
+        let e = self.event();
         let _ = write!(
             e,
             "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{pid},\"tid\":{tid}"
         );
-        write_args(&mut e, &[("name", name.to_string())]);
+        write_args(e, &[("name", name.to_string())]);
         e.push('}');
-        self.events.push(e);
     }
 
     /// Adds a complete slice: `name` ran on row `(pid, tid)` from `ts_us`
@@ -97,20 +124,19 @@ impl ChromeTrace {
         dur_us: f64,
         args: &[(&str, String)],
     ) {
-        let mut e = String::new();
+        let e = self.event();
         e.push_str("{\"ph\":\"X\",\"name\":\"");
-        escape_into(&mut e, name);
+        escape_into(e, name);
         e.push_str("\",\"cat\":\"");
-        escape_into(&mut e, category);
+        escape_into(e, category);
         let _ = write!(
             e,
             "\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts_us:.3},\"dur\":{dur_us:.3}"
         );
         if !args.is_empty() {
-            write_args(&mut e, args);
+            write_args(e, args);
         }
         e.push('}');
-        self.events.push(e);
     }
 
     /// Adds an instant marker at `ts_us` on row `(pid, tid)`.
@@ -123,32 +149,22 @@ impl ChromeTrace {
         ts_us: f64,
         args: &[(&str, String)],
     ) {
-        let mut e = String::new();
+        let e = self.event();
         e.push_str("{\"ph\":\"i\",\"s\":\"t\",\"name\":\"");
-        escape_into(&mut e, name);
+        escape_into(e, name);
         e.push_str("\",\"cat\":\"");
-        escape_into(&mut e, category);
+        escape_into(e, category);
         let _ = write!(e, "\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts_us:.3}");
         if !args.is_empty() {
-            write_args(&mut e, args);
+            write_args(e, args);
         }
         e.push('}');
-        self.events.push(e);
     }
 
-    /// Renders the complete trace document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.events.iter().map(String::len).sum::<usize>());
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        for (i, event) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            out.push_str(event);
-        }
-        out.push_str("\n]}\n");
-        out
+    /// Closes and returns the complete trace document.
+    pub fn into_json(mut self) -> String {
+        self.json.push_str(TAIL);
+        self.json
     }
 }
 
@@ -195,17 +211,18 @@ mod tests {
         trace.thread_name(1, 0, "big0");
         trace.complete("app0/t1", "exec", 1, 0, 0.0, 1500.0, &[("thread", "1".into())]);
         trace.instant("migrate \"x\"\n", "sched", 1, 0, 750.0, &[("dir", "little->big".into())]);
-        let json = trace.to_json();
+        assert_eq!(trace.len(), 4);
+        let json = trace.into_json();
         check_json_object(&json);
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\\\"x\\\"\\n"));
-        assert_eq!(trace.len(), 4);
     }
 
     #[test]
     fn empty_trace_is_valid() {
         let trace = ChromeTrace::new();
-        check_json_object(&trace.to_json());
+        assert!(trace.is_empty());
+        check_json_object(&trace.into_json());
     }
 }

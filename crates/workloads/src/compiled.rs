@@ -22,6 +22,8 @@
 //! yields exactly the same [`Action`] sequence `Cursor::next` would — a
 //! property pinned by the unit tests here and the randomized differential
 //! test in `tests/compiled_differential.rs`.
+//!
+//! [`Cursor`]: crate::Cursor
 
 use std::sync::Arc;
 
@@ -227,6 +229,8 @@ pub enum Segment {
 /// A resumable position in a compiled stream — the compiled analogue of
 /// [`Cursor`]. Holds no reference to the program; pass the *same*
 /// [`CompiledProgram`] to every call.
+///
+/// [`Cursor`]: crate::Cursor
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegPos {
     /// Current segment index.
@@ -272,7 +276,7 @@ impl CompiledProgram {
     /// Lowers `program`. `initial_profile` seeds the little-core execution
     /// caches; runs compiled after a `SetProfile` boundary use the updated
     /// profile (stale caches from `SetProfile`s *inside* repeated bodies
-    /// are detected at arm time via [`Run::speedup_bits`]).
+    /// are detected at arm time via `Run::speedup_bits`).
     pub fn compile(program: &Program, initial_profile: ExecutionProfile) -> CompiledProgram {
         let mut c = Compiler {
             segments: Vec::new(),
@@ -311,6 +315,8 @@ impl CompiledProgram {
 
     /// Yields the next flat action, or `None` at the end. Produces exactly
     /// the sequence [`Cursor::next`] yields for the source program.
+    ///
+    /// [`Cursor::next`]: crate::Cursor::next
     pub fn next(&self, pos: &mut SegPos) -> Option<Action> {
         loop {
             if pos.in_run {
@@ -398,7 +404,7 @@ impl CompiledProgram {
     /// and `limit` the time to the core's quantum end. `None` when not
     /// mid-run or when nothing beyond the current leaf can be merged —
     /// the engine then arms the current leaf individually, exactly like
-    /// the per-leaf engine. See [`Run::merge_horizon`] for why the run
+    /// the per-leaf engine. See `Run::merge_horizon` for why the run
     /// end and the quantum expiry are always excluded.
     pub fn merge_horizon(
         &self,

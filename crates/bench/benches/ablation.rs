@@ -23,7 +23,10 @@ fn bench_variants(c: &mut Criterion) {
             "no_blocking_selection",
             ColabConfig::default().without_blocking_selection(),
         ),
-        ("no_scale_slice", ColabConfig::default().without_scale_slice()),
+        (
+            "no_scale_slice",
+            ColabConfig::default().without_scale_slice(),
+        ),
     ];
 
     let mut group = c.benchmark_group("colab_ablation_sync2_2b2s");

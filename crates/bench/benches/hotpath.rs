@@ -9,7 +9,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId as CriterionId, Criterion};
+use criterion::{
+    black_box, criterion_group, criterion_main, BenchmarkId as CriterionId, Criterion,
+};
 
 use amp_perf::SpeedupModel;
 use amp_sim::equeue::EventQueue;
@@ -185,7 +187,12 @@ fn bench_equeue_rearm(c: &mut Criterion) {
                 q.push(Reverse((last + 1 + rng.next() % 1_000_000, seq, item, gen)));
                 seq += 1;
                 stale_gen[item as usize] = gen + 1;
-                q.push(Reverse((last + 1 + rng.next() % 1_000_000, seq, item, gen + 1)));
+                q.push(Reverse((
+                    last + 1 + rng.next() % 1_000_000,
+                    seq,
+                    item,
+                    gen + 1,
+                )));
                 seq += 1;
             }
             black_box(last)
@@ -206,20 +213,24 @@ fn bench_engine_events(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_events_ferret_2b2s");
     group.sample_size(20);
     for kind in colab::SchedulerKind::EXTENDED {
-        group.bench_with_input(CriterionId::from_parameter(kind.name()), &kind, |b, &kind| {
-            b.iter(|| {
-                let sim = Simulation::from_apps_with_params(
-                    &machine,
-                    spec.instantiate(42, Scale::quick()),
-                    42,
-                    SimParams::default(),
-                )
-                .expect("workload builds");
-                let mut sched = kind.create(&machine, &model);
-                let outcome = sim.run(sched.as_mut()).expect("simulation completes");
-                black_box(outcome.events_processed)
-            })
-        });
+        group.bench_with_input(
+            CriterionId::from_parameter(kind.name()),
+            &kind,
+            |b, &kind| {
+                b.iter(|| {
+                    let sim = Simulation::from_apps_with_params(
+                        &machine,
+                        spec.instantiate(42, Scale::quick()),
+                        42,
+                        SimParams::default(),
+                    )
+                    .expect("workload builds");
+                    let mut sched = kind.create(&machine, &model);
+                    let outcome = sim.run(sched.as_mut()).expect("simulation completes");
+                    black_box(outcome.events_processed)
+                })
+            },
+        );
     }
     group.finish();
 }
@@ -269,8 +280,8 @@ fn bench_compile(c: &mut Criterion) {
     let mut group = c.benchmark_group("compiled_workload");
     group.bench_function("compile_mix", |b| {
         b.iter(|| {
-            let compiled = CompiledWorkload::compile(&spec, 42, Scale::quick())
-                .expect("workload compiles");
+            let compiled =
+                CompiledWorkload::compile(&spec, 42, Scale::quick()).expect("workload compiles");
             black_box(compiled.apps().len())
         })
     });
@@ -349,10 +360,12 @@ fn bench_merged_run(c: &mut Criterion) {
         let (app, machine, model) = (app.clone(), machine.clone(), model.clone());
         group.bench_function(label, move |b| {
             b.iter(|| {
-                let params = SimParams { merge_segments: merge, ..SimParams::default() };
-                let sim =
-                    Simulation::from_apps_with_params(&machine, vec![app.clone()], 7, params)
-                        .expect("workload builds");
+                let params = SimParams {
+                    merge_segments: merge,
+                    ..SimParams::default()
+                };
+                let sim = Simulation::from_apps_with_params(&machine, vec![app.clone()], 7, params)
+                    .expect("workload builds");
                 let mut sched = colab::SchedulerKind::Linux.create(&machine, &model);
                 let outcome = sim.run(sched.as_mut()).expect("simulation completes");
                 black_box(outcome.events_processed)

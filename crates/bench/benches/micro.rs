@@ -23,7 +23,12 @@ fn bench_futex(c: &mut Criterion) {
             for i in 1..32u32 {
                 table.wait(key, ThreadId::new(i), SimTime::from_nanos(t));
             }
-            table.wake(key, usize::MAX, ThreadId::new(0), SimTime::from_nanos(t + 500))
+            table.wake(
+                key,
+                usize::MAX,
+                ThreadId::new(0),
+                SimTime::from_nanos(t + 500),
+            )
         })
     });
 }

@@ -10,8 +10,7 @@ use colab::training;
 fn bench_corpus(c: &mut Criterion) {
     c.bench_function("table2_build_corpus", |b| {
         b.iter(|| {
-            let set = training::build_training_set(4, 42, Scale::new(0.25))
-                .expect("corpus builds");
+            let set = training::build_training_set(4, 42, Scale::new(0.25)).expect("corpus builds");
             assert!(set.len() >= 15);
             set.len()
         })
@@ -21,8 +20,7 @@ fn bench_corpus(c: &mut Criterion) {
 fn bench_full_pipeline(c: &mut Criterion) {
     c.bench_function("table2_train_model", |b| {
         b.iter(|| {
-            let model =
-                training::train_model(4, 42, Scale::new(0.25)).expect("training succeeds");
+            let model = training::train_model(4, 42, Scale::new(0.25)).expect("training succeeds");
             assert_eq!(model.selected_counters().len(), training::SELECTED_COUNTERS);
             model.r_squared()
         })

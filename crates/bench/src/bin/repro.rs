@@ -183,8 +183,7 @@ fn export_chrome_traces(dir: &std::path::Path, scale: f64) -> Result<Vec<String>
     for kind in SchedulerKind::EXTENDED {
         let json = colab_bench::chrome_trace_json(&spec, kind, scale);
         let name = format!("{}-{}.json", spec.name(), kind.name());
-        std::fs::write(dir.join(&name), json)
-            .map_err(|e| format!("writing {name}: {e}"))?;
+        std::fs::write(dir.join(&name), json).map_err(|e| format!("writing {name}: {e}"))?;
         written.push(name);
     }
     Ok(written)
@@ -202,12 +201,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let wants = |name: &str| {
-        options
-            .targets
-            .iter()
-            .any(|t| t == name || t == "all")
-    };
+    let wants = |name: &str| options.targets.iter().any(|t| t == name || t == "all");
 
     if let Some(dir) = &options.trace_dir {
         match export_chrome_traces(dir, options.scale) {
@@ -228,7 +222,11 @@ fn main() -> ExitCode {
     eprintln!(
         "building harness (scale {}, {} model)...",
         options.scale,
-        if options.train { "trained" } else { "heuristic" }
+        if options.train {
+            "trained"
+        } else {
+            "heuristic"
+        }
     );
     let mut harness = colab_bench::harness_with(options.scale, options.train, options.replications);
     eprintln!("harness ready in {:.1?}", start.elapsed());

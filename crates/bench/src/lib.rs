@@ -78,7 +78,11 @@ pub fn bench_run_json(harness: &Harness, wall_secs: f64, cells: usize) -> String
             .iter()
             .find(|(name, _)| *name == kind.name)
             .map_or(0, |&(_, picks)| picks);
-        let per_pick = if picks == 0 { 0.0 } else { kind.run_ns as f64 / picks as f64 };
+        let per_pick = if picks == 0 {
+            0.0
+        } else {
+            kind.run_ns as f64 / picks as f64
+        };
         if !policies.is_empty() {
             policies.push(',');
         }
@@ -121,7 +125,11 @@ pub fn bench_run_json(harness: &Harness, wall_secs: f64, cells: usize) -> String
         ),
         wall_secs,
         cells,
-        if wall_secs > 0.0 { cells as f64 / wall_secs } else { 0.0 },
+        if wall_secs > 0.0 {
+            cells as f64 / wall_secs
+        } else {
+            0.0
+        },
         cost.build_ns as f64 / 1e6,
         cost.run_ns() as f64 / 1e6,
         cost.runs(),
@@ -169,7 +177,11 @@ pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome)
     let mut trace = ChromeTrace::new();
     trace.process_name(PID, &format!("{} on {machine}", outcome.scheduler));
     for (id, spec) in machine.iter() {
-        trace.thread_name(PID, id.index() as u64, &format!("{} core {}", spec.kind, id.index()));
+        trace.thread_name(
+            PID,
+            id.index() as u64,
+            &format!("{} core {}", spec.kind, id.index()),
+        );
     }
     let us = |t: SimTime| t.as_nanos() as f64 / 1e3;
     let thread_name = |t: ThreadId| {
@@ -185,7 +197,12 @@ pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome)
             TraceEvent::Dispatch { at, core, thread } => {
                 open[core.index()] = Some((at, thread));
             }
-            TraceEvent::Stop { at, core, thread: _, reason } => {
+            TraceEvent::Stop {
+                at,
+                core,
+                thread: _,
+                reason,
+            } => {
                 if let Some((from, t)) = open[core.index()].take() {
                     trace.complete(
                         &thread_name(t),
@@ -213,7 +230,10 @@ pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome)
                 ci as u64,
                 us(from),
                 us(outcome.makespan) - us(from),
-                &[("thread", t.index().to_string()), ("stop", "horizon".into())],
+                &[
+                    ("thread", t.index().to_string()),
+                    ("stop", "horizon".into()),
+                ],
             );
         }
     }
@@ -221,7 +241,12 @@ pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome)
     for stamped in &outcome.telemetry_events {
         let (name, args): (&str, Vec<(&str, String)>) = match stamped.event {
             SchedEvent::Pick { .. } => continue,
-            SchedEvent::Migrate { thread, from, to, direction } => (
+            SchedEvent::Migrate {
+                thread,
+                from,
+                to,
+                direction,
+            } => (
                 "migrate",
                 vec![
                     ("thread", thread_name(thread)),
@@ -245,7 +270,11 @@ pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome)
                     ("to", to.label().into()),
                 ],
             ),
-            SchedEvent::SlicePredict { thread, predicted_speedup, slice } => (
+            SchedEvent::SlicePredict {
+                thread,
+                predicted_speedup,
+                slice,
+            } => (
                 "slice_predict",
                 vec![
                     ("thread", thread_name(thread)),
@@ -253,7 +282,11 @@ pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome)
                     ("slice", slice.to_string()),
                 ],
             ),
-            SchedEvent::FutexWake { waker, woken, blocked } => (
+            SchedEvent::FutexWake {
+                waker,
+                woken,
+                blocked,
+            } => (
                 "futex_wake",
                 vec![
                     ("waker", thread_name(waker)),
@@ -268,14 +301,12 @@ pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome)
                     ("from_core", from.index().to_string()),
                 ],
             ),
-            SchedEvent::CoreOffline { core } => (
-                "core_offline",
-                vec![("core", core.index().to_string())],
-            ),
-            SchedEvent::CoreOnline { core } => (
-                "core_online",
-                vec![("core", core.index().to_string())],
-            ),
+            SchedEvent::CoreOffline { core } => {
+                ("core_offline", vec![("core", core.index().to_string())])
+            }
+            SchedEvent::CoreOnline { core } => {
+                ("core_online", vec![("core", core.index().to_string())])
+            }
             SchedEvent::Throttle { core, factor } => (
                 "throttle",
                 vec![
@@ -284,7 +315,14 @@ pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome)
                 ],
             ),
         };
-        trace.instant(name, "sched", PID, stamped.core.index() as u64, us(stamped.at), &args);
+        trace.instant(
+            name,
+            "sched",
+            PID,
+            stamped.core.index() as u64,
+            us(stamped.at),
+            &args,
+        );
     }
     trace.into_json()
 }

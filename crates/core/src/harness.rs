@@ -305,8 +305,7 @@ impl Harness {
 
         let total_cores = big + little;
         let t_sb = self.baselines(workload, total_cores)?;
-        let (cell, telemetry) =
-            compute_cell(self, &t_sb, workload, big, little, kind.into())?;
+        let (cell, telemetry) = compute_cell(self, &t_sb, workload, big, little, kind.into())?;
         self.telemetry.insert(key.clone(), telemetry);
         self.cells.insert(key, cell.clone());
         Ok(cell)
@@ -448,9 +447,7 @@ mod tests {
     fn single_program_h_ntt_at_least_one() {
         let mut h = Harness::new(ExperimentConfig::quick()).unwrap();
         for kind in SchedulerKind::ALL {
-            let ntt = h
-                .single(BenchmarkId::Blackscholes, 4, 2, 2, kind)
-                .unwrap();
+            let ntt = h.single(BenchmarkId::Blackscholes, 4, 2, 2, kind).unwrap();
             assert!(
                 ntt > 0.95,
                 "{}: H_NTT {ntt} below the physical floor",

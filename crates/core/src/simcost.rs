@@ -231,7 +231,14 @@ mod tests {
         assert!((k.events_per_sec() - 5.0).abs() < 1e-12);
         assert!((k.segments_per_sec() - 3.0).abs() < 1e-12);
         assert!((k.merged_op_ratio() - 5.0).abs() < 1e-12);
-        let z = KindCost { name: "x", run_ns: 0, events: 0, runs: 0, leaves: 0, segments: 0 };
+        let z = KindCost {
+            name: "x",
+            run_ns: 0,
+            events: 0,
+            runs: 0,
+            leaves: 0,
+            segments: 0,
+        };
         assert_eq!(z.events_per_sec(), 0.0);
         assert_eq!(z.merged_op_ratio(), 0.0);
     }

@@ -31,7 +31,11 @@ fn paper_grid_enumerates_exactly_312_unique_cells() {
 fn full_plan_is_a_superset_of_the_paper_grid_with_no_duplicates() {
     let full = SweepPlan::full();
     let keys: HashSet<_> = full.cells().iter().map(SweepCell::key).collect();
-    assert_eq!(keys.len(), full.len(), "union of grids stays duplicate-free");
+    assert_eq!(
+        keys.len(),
+        full.len(),
+        "union of grids stays duplicate-free"
+    );
     let paper: HashSet<_> = SweepPlan::paper_grid()
         .cells()
         .iter()
@@ -57,7 +61,15 @@ fn cell_hashes_are_stable_and_collision_free_over_the_full_plan() {
     // Pin one hash value: any change to the key encoding is a breaking
     // change to fixture naming and must be deliberate.
     let first = &plan.cells()[0];
-    assert_eq!(first.stable_hash(), fnv(&format!("{}\0{}\0{}", first.key().0, first.key().1, first.key().2)));
+    assert_eq!(
+        first.stable_hash(),
+        fnv(&format!(
+            "{}\0{}\0{}",
+            first.key().0,
+            first.key().1,
+            first.key().2
+        ))
+    );
 }
 
 fn fnv(s: &str) -> u64 {

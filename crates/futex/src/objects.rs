@@ -33,7 +33,9 @@ pub enum OpResult {
 impl OpResult {
     /// A `Proceed` with no side-effect wakeups.
     pub fn proceed() -> OpResult {
-        OpResult::Proceed { woken: WakeList::new() }
+        OpResult::Proceed {
+            woken: WakeList::new(),
+        }
     }
 
     /// Whether the caller blocks.
@@ -188,7 +190,12 @@ impl SyncObjects {
     /// Arrives at `barrier`. The last arriver releases everyone and is
     /// charged all of their accumulated waiting time (it *was* the
     /// bottleneck); earlier arrivers block.
-    pub fn barrier_arrive(&mut self, barrier: BarrierId, thread: ThreadId, now: SimTime) -> OpResult {
+    pub fn barrier_arrive(
+        &mut self,
+        barrier: BarrierId,
+        thread: ThreadId,
+        now: SimTime,
+    ) -> OpResult {
         let (key, full) = {
             let state = &mut self.barriers[barrier.index()];
             state.arrived += 1;

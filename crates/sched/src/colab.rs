@@ -246,10 +246,7 @@ impl ColabScheduler {
             return (0, 0);
         }
         let v = ctx.thread(thread);
-        (
-            v.blocking_ewma.as_nanos(),
-            v.blocking_total.as_nanos(),
-        )
+        (v.blocking_ewma.as_nanos(), v.blocking_total.as_nanos())
     }
 
     /// Removes and returns the max-blocking thread of `core`'s queue.
@@ -354,7 +351,11 @@ impl ColabScheduler {
                 let core = ctx.thread(t).last_core.unwrap_or(CoreId::new(0));
                 ctx.emit(
                     core,
-                    SchedEvent::Relabel { thread: t, from: old.class(), to: label.class() },
+                    SchedEvent::Relabel {
+                        thread: t,
+                        from: old.class(),
+                        to: label.class(),
+                    },
                 );
             }
             self.labels[t.index()] = label;
@@ -485,7 +486,11 @@ impl Scheduler for ColabScheduler {
                 .max(self.config.min_slice);
             ctx.emit(
                 core,
-                SchedEvent::SlicePredict { thread, predicted_speedup: predicted, slice },
+                SchedEvent::SlicePredict {
+                    thread,
+                    predicted_speedup: predicted,
+                    slice,
+                },
             );
             slice
         } else {
@@ -522,12 +527,10 @@ impl Scheduler for ColabScheduler {
                 // scan) via the allocator's fallback.
                 let misplaced = match self.labels[t.index()] {
                     Label::HighSpeedup => {
-                        !kind.is_big()
-                            && self.big_cores.iter().any(|&c| ctx.core_online(c))
+                        !kind.is_big() && self.big_cores.iter().any(|&c| ctx.core_online(c))
                     }
                     Label::NonCritical => {
-                        kind.is_big()
-                            && self.little_cores.iter().any(|&c| ctx.core_online(c))
+                        kind.is_big() && self.little_cores.iter().any(|&c| ctx.core_online(c))
                     }
                     Label::Flexible => false,
                 };
@@ -638,7 +641,10 @@ mod tests {
             .map(|w| w.big_time.as_secs_f64() / w.run_time.as_secs_f64().max(1e-12))
             .sum::<f64>()
             / workers.len() as f64;
-        assert!(worker_big > 0.5, "workers only {worker_big:.2} on big cores");
+        assert!(
+            worker_big > 0.5,
+            "workers only {worker_big:.2} on big cores"
+        );
     }
 
     #[test]

@@ -109,12 +109,8 @@ impl GtsScheduler {
     fn allowed(&self, ctx: &SchedCtx<'_>, thread: ThreadId, core: CoreId) -> bool {
         match self.placement[thread.index()] {
             Placement::Anywhere => true,
-            Placement::Big => {
-                ctx.core_kind(core).is_big() || self.big_cores.is_empty()
-            }
-            Placement::Little => {
-                !ctx.core_kind(core).is_big() || self.little_cores.is_empty()
-            }
+            Placement::Big => ctx.core_kind(core).is_big() || self.big_cores.is_empty(),
+            Placement::Little => !ctx.core_kind(core).is_big() || self.little_cores.is_empty(),
         }
     }
 
@@ -147,7 +143,11 @@ impl GtsScheduler {
                 let core = ctx.thread(t).last_core.unwrap_or(CoreId::new(0));
                 ctx.emit(
                     core,
-                    SchedEvent::Relabel { thread: t, from: old.class(), to: placement.class() },
+                    SchedEvent::Relabel {
+                        thread: t,
+                        from: old.class(),
+                        to: placement.class(),
+                    },
                 );
             }
             self.placement[t.index()] = placement;
@@ -193,11 +193,13 @@ impl Scheduler for GtsScheduler {
         // engine runqueues are mutated — no defensive clone needed.
         let placement = &self.placement;
         let kind_is_big = ctx.core_kind(core).is_big();
-        match self.engine.steal_for(core, |t, _| match placement[t.index()] {
-            Placement::Anywhere => true,
-            Placement::Big => kind_is_big,
-            Placement::Little => !kind_is_big,
-        }) {
+        match self
+            .engine
+            .steal_for(core, |t, _| match placement[t.index()] {
+                Placement::Anywhere => true,
+                Placement::Big => kind_is_big,
+                Placement::Little => !kind_is_big,
+            }) {
             Some(t) => Pick::Run(t),
             None => Pick::Idle,
         }
@@ -312,8 +314,16 @@ mod tests {
         .unwrap()
         .run(&mut GtsScheduler::new(&machine))
         .unwrap();
-        let total_big: f64 = outcome.threads.iter().map(|t| t.big_time.as_secs_f64()).sum();
-        let total_run: f64 = outcome.threads.iter().map(|t| t.run_time.as_secs_f64()).sum();
+        let total_big: f64 = outcome
+            .threads
+            .iter()
+            .map(|t| t.big_time.as_secs_f64())
+            .sum();
+        let total_run: f64 = outcome
+            .threads
+            .iter()
+            .map(|t| t.run_time.as_secs_f64())
+            .sum();
         assert!(
             total_big / total_run > 0.8,
             "busy threads only {:.2} on big cores",

@@ -64,7 +64,10 @@ fn colab_big_cores_never_idle_with_ready_threads() {
     let apps = spec.instantiate(4, Scale::new(0.4));
     let sim = Simulation::from_apps_with_params(&machine, apps, 4, traced_params()).unwrap();
     let outcome = sim
-        .run(&mut ColabScheduler::new(&machine, SpeedupModel::heuristic()))
+        .run(&mut ColabScheduler::new(
+            &machine,
+            SpeedupModel::heuristic(),
+        ))
         .unwrap();
 
     // Ignore the endgame where fewer threads remain than cores.
@@ -168,7 +171,10 @@ fn policies_disagree_on_the_same_workload() {
             0 => sim.run(&mut amp_sched::CfsScheduler::new(&machine)),
             1 => sim.run(&mut GtsScheduler::new(&machine)),
             2 => sim.run(&mut WashScheduler::new(&machine, SpeedupModel::heuristic())),
-            _ => sim.run(&mut ColabScheduler::new(&machine, SpeedupModel::heuristic())),
+            _ => sim.run(&mut ColabScheduler::new(
+                &machine,
+                SpeedupModel::heuristic(),
+            )),
         }
         .unwrap();
         makespans.push(outcome.makespan);

@@ -226,7 +226,8 @@ impl<T> EventQueue<T> {
         }
         // One sort of the migrated handful re-establishes the descending
         // near order; `(time, seq)` keys are unique so unstable is fine.
-        self.near.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+        self.near
+            .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
         true
     }
 }

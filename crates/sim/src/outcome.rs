@@ -125,7 +125,11 @@ impl DegradationReport {
             if o.apps.is_empty() {
                 return 0.0;
             }
-            o.apps.iter().map(|a| a.turnaround.as_secs_f64()).sum::<f64>() / o.apps.len() as f64
+            o.apps
+                .iter()
+                .map(|a| a.turnaround.as_secs_f64())
+                .sum::<f64>()
+                / o.apps.len() as f64
         };
         let (c, f) = (mean(clean), mean(faulted));
         if f <= 0.0 {

@@ -119,8 +119,7 @@ impl Trace {
         let cores = machine.num_cores();
         let mut grid = vec![vec!['.'; width]; cores];
         let col_of = |t: SimTime| -> usize {
-            ((t.as_nanos() as u128 * width as u128 / horizon.as_nanos().max(1) as u128)
-                as usize)
+            ((t.as_nanos() as u128 * width as u128 / horizon.as_nanos().max(1) as u128) as usize)
                 .min(width - 1)
         };
         // Pair dispatches with the next stop of the same core.
@@ -137,7 +136,9 @@ impl Trace {
                 TraceEvent::Dispatch { at, core, thread } => {
                     open[core.index()] = Some((at, thread));
                 }
-                TraceEvent::Stop { at, core, thread, .. } => {
+                TraceEvent::Stop {
+                    at, core, thread, ..
+                } => {
                     if let Some((from, t)) = open[core.index()].take() {
                         debug_assert_eq!(t, thread, "stop must match open dispatch");
                         paint(core, from, at, thread);
@@ -223,8 +224,16 @@ mod tests {
         let art = trace.gantt(&machine, ms(10), 10);
         let lines: Vec<&str> = art.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("AAAA"), "core 0 ran thread A: {}", lines[0]);
-        assert!(lines[1].contains("BBBB"), "open dispatch painted: {}", lines[1]);
+        assert!(
+            lines[0].contains("AAAA"),
+            "core 0 ran thread A: {}",
+            lines[0]
+        );
+        assert!(
+            lines[1].contains("BBBB"),
+            "open dispatch painted: {}",
+            lines[1]
+        );
         assert!(lines[1].contains('.'), "idle prefix painted: {}", lines[1]);
     }
 

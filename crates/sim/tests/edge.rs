@@ -6,8 +6,12 @@ use amp_perf::ExecutionProfile;
 use amp_sim::{
     EnqueueReason, Pick, RoundRobin, SchedCtx, Scheduler, SimParams, Simulation, StopReason,
 };
-use amp_types::{CoreId, CoreKind, CoreOrder, Error, MachineConfig, SimDuration, SimTime, ThreadId};
-use amp_workloads::{AppBuilder, AppSpec, BenchmarkId, Op, Program, Scale, ThreadSpec, WorkloadSpec};
+use amp_types::{
+    CoreId, CoreKind, CoreOrder, Error, MachineConfig, SimDuration, SimTime, ThreadId,
+};
+use amp_workloads::{
+    AppBuilder, AppSpec, BenchmarkId, Op, Program, Scale, ThreadSpec, WorkloadSpec,
+};
 
 fn one_thread_app(name: &str, ops: Vec<Op>) -> AppSpec {
     AppSpec {
@@ -164,10 +168,7 @@ impl Scheduler for GreedyStealer {
     }
     fn init(&mut self, ctx: &SchedCtx<'_>) {
         self.queue.clear();
-        self.littles = ctx
-            .machine
-            .cores_of_kind(CoreKind::Little)
-            .collect();
+        self.littles = ctx.machine.cores_of_kind(CoreKind::Little).collect();
     }
     fn enqueue(&mut self, _ctx: &SchedCtx<'_>, thread: ThreadId, _r: EnqueueReason) -> CoreId {
         self.queue.push(thread);
@@ -257,7 +258,14 @@ impl Scheduler for AlwaysPreempt {
     fn on_tick(&mut self, ctx: &SchedCtx<'_>) {
         self.inner.on_tick(ctx);
     }
-    fn on_stop(&mut self, ctx: &SchedCtx<'_>, t: ThreadId, c: CoreId, ran: SimDuration, r: StopReason) {
+    fn on_stop(
+        &mut self,
+        ctx: &SchedCtx<'_>,
+        t: ThreadId,
+        c: CoreId,
+        ran: SimDuration,
+        r: StopReason,
+    ) {
         self.inner.on_stop(ctx, t, c, ran, r);
     }
 }
@@ -395,8 +403,5 @@ fn staggered_arrivals_are_respected() {
     // its last finish instant.
     let late_app = &outcome.apps[1];
     let last_finish = late_threads.iter().map(|t| t.finish).max().unwrap();
-    assert_eq!(
-        late_app.turnaround,
-        last_finish.saturating_since(arrival)
-    );
+    assert_eq!(late_app.turnaround, last_finish.saturating_since(arrival));
 }

@@ -209,8 +209,23 @@ mod tests {
         let mut trace = ChromeTrace::new();
         trace.process_name(1, "cores");
         trace.thread_name(1, 0, "big0");
-        trace.complete("app0/t1", "exec", 1, 0, 0.0, 1500.0, &[("thread", "1".into())]);
-        trace.instant("migrate \"x\"\n", "sched", 1, 0, 750.0, &[("dir", "little->big".into())]);
+        trace.complete(
+            "app0/t1",
+            "exec",
+            1,
+            0,
+            0.0,
+            1500.0,
+            &[("thread", "1".into())],
+        );
+        trace.instant(
+            "migrate \"x\"\n",
+            "sched",
+            1,
+            0,
+            750.0,
+            &[("dir", "little->big".into())],
+        );
         assert_eq!(trace.len(), 4);
         let json = trace.into_json();
         check_json_object(&json);

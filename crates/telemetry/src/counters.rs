@@ -50,12 +50,18 @@ impl ClusterDirection {
 
     /// Whether the move leaves a big core.
     pub fn leaves_big(self) -> bool {
-        matches!(self, ClusterDirection::BigToBig | ClusterDirection::BigToLittle)
+        matches!(
+            self,
+            ClusterDirection::BigToBig | ClusterDirection::BigToLittle
+        )
     }
 
     /// Whether the move arrives on a big core.
     pub fn enters_big(self) -> bool {
-        matches!(self, ClusterDirection::BigToBig | ClusterDirection::LittleToBig)
+        matches!(
+            self,
+            ClusterDirection::BigToBig | ClusterDirection::LittleToBig
+        )
     }
 }
 
@@ -292,7 +298,10 @@ mod tests {
             to: CoreId(1),
             direction: ClusterDirection::BigToLittle,
         });
-        c.apply(&SchedEvent::Preempt { victim: t, cause: PreemptCause::Wakeup });
+        c.apply(&SchedEvent::Preempt {
+            victim: t,
+            cause: PreemptCause::Wakeup,
+        });
         c.apply(&SchedEvent::Relabel {
             thread: t,
             from: LabelClass::Flexible,
@@ -303,11 +312,21 @@ mod tests {
             predicted_speedup: 1.8,
             slice: SimDuration::from_micros(250),
         });
-        c.apply(&SchedEvent::FutexWake { waker: t, woken: ThreadId(1), blocked: SimDuration::ZERO });
-        c.apply(&SchedEvent::IdleSteal { thread: t, from: CoreId(0) });
+        c.apply(&SchedEvent::FutexWake {
+            waker: t,
+            woken: ThreadId(1),
+            blocked: SimDuration::ZERO,
+        });
+        c.apply(&SchedEvent::IdleSteal {
+            thread: t,
+            from: CoreId(0),
+        });
         c.apply(&SchedEvent::CoreOffline { core: CoreId(1) });
         c.apply(&SchedEvent::CoreOnline { core: CoreId(1) });
-        c.apply(&SchedEvent::Throttle { core: CoreId(0), factor: 0.5 });
+        c.apply(&SchedEvent::Throttle {
+            core: CoreId(0),
+            factor: 0.5,
+        });
 
         assert_eq!(c.picks, 1);
         assert_eq!(c.total_migrations(), 1);

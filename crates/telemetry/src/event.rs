@@ -183,7 +183,12 @@ impl EventRing {
         self.core_seq[core_idx] += 1;
         self.seen += 1;
 
-        let stamped = StampedEvent { at, core, seq, event };
+        let stamped = StampedEvent {
+            at,
+            core,
+            seq,
+            event,
+        };
         if self.buf.len() < self.capacity {
             self.buf.push(stamped);
         } else {
@@ -205,7 +210,9 @@ mod tests {
     use amp_types::ThreadId;
 
     fn ev(t: u32) -> SchedEvent {
-        SchedEvent::Pick { thread: ThreadId(t) }
+        SchedEvent::Pick {
+            thread: ThreadId(t),
+        }
     }
 
     #[test]

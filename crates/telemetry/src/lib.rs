@@ -76,7 +76,12 @@ impl Telemetry {
     /// appends to the ring if event recording is enabled.
     pub fn record(&mut self, at: SimTime, core: CoreId, event: SchedEvent) {
         self.counters.apply(&event);
-        if let SchedEvent::SlicePredict { thread, predicted_speedup, .. } = event {
+        if let SchedEvent::SlicePredict {
+            thread,
+            predicted_speedup,
+            ..
+        } = event
+        {
             self.pending_predictions.insert(thread, predicted_speedup);
         }
         self.ring.push(at, core, event);
@@ -162,7 +167,10 @@ mod tests {
                 direction: ClusterDirection::from_kinds(CoreKind::Little, CoreKind::Big),
             },
         );
-        assert_eq!(tel.counters.migrations[ClusterDirection::LittleToBig as usize], 1);
+        assert_eq!(
+            tel.counters.migrations[ClusterDirection::LittleToBig as usize],
+            1
+        );
         assert_eq!(tel.events().count(), 1);
     }
 
@@ -172,7 +180,9 @@ mod tests {
         tel.record(
             SimTime::ZERO,
             CoreId(0),
-            SchedEvent::Pick { thread: ThreadId(3) },
+            SchedEvent::Pick {
+                thread: ThreadId(3),
+            },
         );
         assert_eq!(tel.counters.picks, 1);
         assert_eq!(tel.events().count(), 0);
@@ -190,7 +200,11 @@ mod tests {
         tel.record(
             SimTime::ZERO,
             CoreId(0),
-            SchedEvent::SlicePredict { thread: t, predicted_speedup: 2.0, slice: SimDuration::from_micros(500) },
+            SchedEvent::SlicePredict {
+                thread: t,
+                predicted_speedup: 2.0,
+                slice: SimDuration::from_micros(500),
+            },
         );
         tel.observe_actual_speedup(t, 1.5);
         tel.observe_actual_speedup(t, 2.5);

@@ -89,14 +89,29 @@ impl fmt::Display for TelemetryReport {
         )?;
         write!(f, "migrations:")?;
         for dir in ClusterDirection::ALL {
-            write!(f, " {} {:.1}", dir.label(), self.per_run(c.migrations[dir as usize]))?;
+            write!(
+                f,
+                " {} {:.1}",
+                dir.label(),
+                self.per_run(c.migrations[dir as usize])
+            )?;
         }
         writeln!(f)?;
         write!(f, "preemptions:")?;
         for cause in PreemptCause::ALL {
-            write!(f, " {} {:.1}", cause.label(), self.per_run(c.preemptions[cause as usize]))?;
+            write!(
+                f,
+                " {} {:.1}",
+                cause.label(),
+                self.per_run(c.preemptions[cause as usize])
+            )?;
         }
-        write!(f, "  futex-wakes {:.1}/run  idle-steals {:.1}/run", self.per_run(c.futex_wakes), self.per_run(c.idle_steals))?;
+        write!(
+            f,
+            "  futex-wakes {:.1}/run  idle-steals {:.1}/run",
+            self.per_run(c.futex_wakes),
+            self.per_run(c.idle_steals)
+        )?;
         writeln!(f)?;
         if c.total_faults() > 0 {
             writeln!(
@@ -113,7 +128,13 @@ impl fmt::Display for TelemetryReport {
                 for to in LabelClass::ALL {
                     let n = c.label_matrix[from as usize][to as usize];
                     if n > 0 {
-                        write!(f, " {}=>{} {:.1}", from.label(), to.label(), self.per_run(n))?;
+                        write!(
+                            f,
+                            " {}=>{} {:.1}",
+                            from.label(),
+                            to.label(),
+                            self.per_run(n)
+                        )?;
                     }
                 }
             }
@@ -167,7 +188,10 @@ mod tests {
     fn absorb_accumulates_runs_and_pools_histograms() {
         let mut total = TelemetryReport::new();
         for i in 1..=3u64 {
-            let mut one = TelemetryReport { runs: 1, ..Default::default() };
+            let mut one = TelemetryReport {
+                runs: 1,
+                ..Default::default()
+            };
             one.counters.picks = 10 * i;
             one.wakeup_to_run.record(SimDuration::from_micros(i));
             total.absorb(&one);
@@ -180,7 +204,10 @@ mod tests {
 
     #[test]
     fn display_renders_without_panicking() {
-        let mut report = TelemetryReport { runs: 1, ..Default::default() };
+        let mut report = TelemetryReport {
+            runs: 1,
+            ..Default::default()
+        };
         report.counters.picks = 5;
         report.counters.migrations[1] = 2;
         report.counters.label_matrix[0][2] = 1;

@@ -15,7 +15,10 @@ use rand::{Rng, SeedableRng};
 /// Builds a report with deterministic pseudo-random contents.
 fn synthetic_report(seed: u64) -> TelemetryReport {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut r = TelemetryReport { runs: rng.gen_range(1u64..4), ..Default::default() };
+    let mut r = TelemetryReport {
+        runs: rng.gen_range(1u64..4),
+        ..Default::default()
+    };
     r.counters.picks = rng.gen_range(0u64..10_000);
     for slot in &mut r.counters.migrations {
         *slot = rng.gen_range(0u64..500);
@@ -87,8 +90,14 @@ fn merged_counters_equal_the_sum_of_per_cell_counters() {
         merged.counters.slice_predictions,
         sum(&|r| r.counters.slice_predictions)
     );
-    assert_eq!(merged.counters.futex_wakes, sum(&|r| r.counters.futex_wakes));
-    assert_eq!(merged.counters.idle_steals, sum(&|r| r.counters.idle_steals));
+    assert_eq!(
+        merged.counters.futex_wakes,
+        sum(&|r| r.counters.futex_wakes)
+    );
+    assert_eq!(
+        merged.counters.idle_steals,
+        sum(&|r| r.counters.idle_steals)
+    );
     assert_eq!(
         merged.counters.prediction.samples,
         sum(&|r| r.counters.prediction.samples)

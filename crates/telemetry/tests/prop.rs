@@ -10,7 +10,9 @@ use proptest::prelude::*;
 
 fn event_strategy() -> impl Strategy<Value = SchedEvent> {
     (0u8..7, 0u32..8, 0u32..8, 0u32..6).prop_map(|(kind, a, b, c)| match kind {
-        0 => SchedEvent::Pick { thread: ThreadId(a) },
+        0 => SchedEvent::Pick {
+            thread: ThreadId(a),
+        },
         1 => SchedEvent::Migrate {
             thread: ThreadId(a),
             from: CoreId(b % 4),
@@ -36,7 +38,10 @@ fn event_strategy() -> impl Strategy<Value = SchedEvent> {
             woken: ThreadId(b),
             blocked: SimDuration::from_micros(u64::from(c)),
         },
-        _ => SchedEvent::IdleSteal { thread: ThreadId(a), from: CoreId(b % 4) },
+        _ => SchedEvent::IdleSteal {
+            thread: ThreadId(a),
+            from: CoreId(b % 4),
+        },
     })
 }
 

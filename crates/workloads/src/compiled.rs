@@ -124,16 +124,23 @@ impl Run {
     /// `pattern[leaf..]` of the current pass plus `reps_left` further full
     /// passes, on a core of `kind` at `speedup`. Matches the sum of the
     /// per-leaf `exec_duration` values the unmerged engine would arm.
-    fn remaining_exec(&self, leaf: usize, reps_left: u32, kind: CoreKind, speedup: f64) -> SimDuration {
+    fn remaining_exec(
+        &self,
+        leaf: usize,
+        reps_left: u32,
+        kind: CoreKind,
+        speedup: f64,
+    ) -> SimDuration {
         let tail = match kind {
             CoreKind::Big => self.suffix_big[leaf],
-            CoreKind::Little if speedup.to_bits() == self.speedup_bits => {
-                self.suffix_little[leaf]
-            }
+            CoreKind::Little if speedup.to_bits() == self.speedup_bits => self.suffix_little[leaf],
             CoreKind::Little => {
                 // Profile drifted from the compile-time one (SetProfile in
                 // a repeated body): recompute with per-leaf rounding.
-                self.pattern[leaf..].iter().map(|&d| d.mul_f64(speedup)).sum()
+                self.pattern[leaf..]
+                    .iter()
+                    .map(|&d| d.mul_f64(speedup))
+                    .sum()
             }
         };
         tail + self.pass_exec(kind, speedup) * u64::from(reps_left)
@@ -420,7 +427,14 @@ impl CompiledProgram {
         let Segment::Run(run) = &self.segments[pos.seg as usize] else {
             unreachable!("in_run points at a non-Run segment");
         };
-        run.merge_horizon(pos.leaf as usize, pos.reps_left, kind, speedup, first, limit)
+        run.merge_horizon(
+            pos.leaf as usize,
+            pos.reps_left,
+            kind,
+            speedup,
+            first,
+            limit,
+        )
     }
 }
 
@@ -437,7 +451,8 @@ impl Compiler {
     fn flush_pending(&mut self) {
         if !self.pending.is_empty() {
             let pattern = std::mem::take(&mut self.pending);
-            self.segments.push(Segment::Run(Run::new(1, pattern, &self.profile)));
+            self.segments
+                .push(Segment::Run(Run::new(1, pattern, &self.profile)));
         }
     }
 
@@ -705,7 +720,10 @@ mod tests {
         let p = Program::new(vec![Op::Loop {
             count: 3,
             body: vec![
-                Op::Loop { count: 4, body: vec![Op::Compute(us(2))] },
+                Op::Loop {
+                    count: 4,
+                    body: vec![Op::Compute(us(2))],
+                },
                 Op::Compute(us(7)),
             ],
         }]);
@@ -749,11 +767,20 @@ mod tests {
     #[test]
     fn zero_count_and_actionless_loops_disappear() {
         let p = Program::new(vec![
-            Op::Loop { count: 0, body: vec![Op::Compute(us(1))] },
-            Op::Loop { count: 9, body: vec![] },
+            Op::Loop {
+                count: 0,
+                body: vec![Op::Compute(us(1))],
+            },
+            Op::Loop {
+                count: 9,
+                body: vec![],
+            },
             Op::Loop {
                 count: 5,
-                body: vec![Op::Loop { count: 0, body: vec![Op::Barrier(BarrierId::new(0))] }],
+                body: vec![Op::Loop {
+                    count: 0,
+                    body: vec![Op::Barrier(BarrierId::new(0))],
+                }],
             },
             Op::Compute(us(7)),
         ]);
@@ -787,7 +814,10 @@ mod tests {
         // compute, all-compute single loop, compute → one merged run.
         let p = Program::new(vec![
             Op::Compute(us(1)),
-            Op::Loop { count: 1, body: vec![Op::Compute(us(2))] },
+            Op::Loop {
+                count: 1,
+                body: vec![Op::Compute(us(2))],
+            },
             Op::Compute(us(3)),
         ]);
         let c = CompiledProgram::compile(&p, profile());
@@ -802,7 +832,10 @@ mod tests {
         // leaves: folds into reps=100 over a 100-leaf pattern.
         let p = Program::new(vec![Op::Loop {
             count: 100,
-            body: vec![Op::Loop { count: 100, body: vec![Op::Compute(us(1))] }],
+            body: vec![Op::Loop {
+                count: 100,
+                body: vec![Op::Compute(us(1))],
+            }],
         }]);
         let c = CompiledProgram::compile(&p, profile());
         assert_eq!(c.segments().len(), 1);
@@ -819,7 +852,10 @@ mod tests {
         // must not materialize it as a single huge pattern.
         let p = Program::new(vec![Op::Loop {
             count: 3,
-            body: vec![Op::Loop { count: 5000, body: vec![Op::Compute(us(1))] }],
+            body: vec![Op::Loop {
+                count: 5000,
+                body: vec![Op::Compute(us(1))],
+            }],
         }]);
         let c = CompiledProgram::compile(&p, profile());
         let max_pattern = c
@@ -922,7 +958,11 @@ mod tests {
         let c = CompiledProgram::compile(&p, profile());
         let mut pos = SegPos::new();
         assert_eq!(c.next(&mut pos), Some(Action::Compute(us(1))));
-        assert_eq!(c.next_run_leaf(&mut pos), None, "must not cross the barrier");
+        assert_eq!(
+            c.next_run_leaf(&mut pos),
+            None,
+            "must not cross the barrier"
+        );
         assert_eq!(c.next(&mut pos), Some(Action::Barrier(BarrierId::new(0))));
     }
 

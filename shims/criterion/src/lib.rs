@@ -115,12 +115,16 @@ pub struct BenchmarkId {
 impl BenchmarkId {
     /// An id rendered from the benchmark's parameter value.
     pub fn from_parameter<P: fmt::Display>(parameter: P) -> Self {
-        BenchmarkId { label: parameter.to_string() }
+        BenchmarkId {
+            label: parameter.to_string(),
+        }
     }
 
     /// An id with a function name and a parameter value.
     pub fn new<P: fmt::Display>(function_name: &str, parameter: P) -> Self {
-        BenchmarkId { label: format!("{function_name}/{parameter}") }
+        BenchmarkId {
+            label: format!("{function_name}/{parameter}"),
+        }
     }
 }
 
@@ -163,8 +167,15 @@ fn run_benchmark<F>(id: &str, sample_size: usize, mut f: F)
 where
     F: FnMut(&mut Bencher),
 {
-    let sample_size = if quick_mode() { sample_size.min(2) } else { sample_size };
-    let mut bencher = Bencher { sample_size, elapsed: None };
+    let sample_size = if quick_mode() {
+        sample_size.min(2)
+    } else {
+        sample_size
+    };
+    let mut bencher = Bencher {
+        sample_size,
+        elapsed: None,
+    };
     f(&mut bencher);
     match bencher.elapsed {
         Some(mean) => println!("bench {id:<40} {mean:>12.2?}/iter  ({sample_size} iters)"),

@@ -61,7 +61,8 @@ fn all_benchmarks_and_compositions_compile_equivalently() {
                     assert!(compiled.is_finished(&pos));
                     let want = legacy_actions(&thread.program);
                     assert_eq!(
-                        got, want,
+                        got,
+                        want,
                         "{}/{} seed {seed}: compiled stream diverged from cursor",
                         spec.name(),
                         thread.name,
@@ -71,7 +72,10 @@ fn all_benchmarks_and_compositions_compile_equivalently() {
             }
         }
     }
-    assert!(programs > 100, "expected broad coverage, checked {programs}");
+    assert!(
+        programs > 100,
+        "expected broad coverage, checked {programs}"
+    );
 }
 
 const FIVE: [SchedulerKind; 5] = [
@@ -90,7 +94,10 @@ fn run(
     plan: &FaultPlan,
 ) -> SimulationOutcome {
     let machine = MachineConfig::paper_2b2s(CoreOrder::BigFirst);
-    let params = SimParams { merge_segments: merge, ..SimParams::default() };
+    let params = SimParams {
+        merge_segments: merge,
+        ..SimParams::default()
+    };
     let sim = Simulation::from_apps_with_params(
         &machine,
         spec.instantiate(seed, Scale::quick()),
@@ -110,26 +117,57 @@ fn assert_outcomes_identical(a: &SimulationOutcome, b: &SimulationOutcome, label
     assert_eq!(a.makespan, b.makespan, "{label}: makespan");
     assert_eq!(a.context_switches, b.context_switches, "{label}: switches");
     assert_eq!(a.migrations, b.migrations, "{label}: migrations");
-    assert_eq!(a.compute_leaves, b.compute_leaves, "{label}: compute leaves");
+    assert_eq!(
+        a.compute_leaves, b.compute_leaves,
+        "{label}: compute leaves"
+    );
     assert_eq!(a.threads.len(), b.threads.len());
     for (x, y) in a.threads.iter().zip(&b.threads) {
         assert_eq!(x.finish, y.finish, "{label}: finish of {}", x.name);
         assert_eq!(x.run_time, y.run_time, "{label}: run_time of {}", x.name);
         assert_eq!(x.big_time, y.big_time, "{label}: big_time of {}", x.name);
-        assert_eq!(x.little_time, y.little_time, "{label}: little_time of {}", x.name);
+        assert_eq!(
+            x.little_time, y.little_time,
+            "{label}: little_time of {}",
+            x.name
+        );
         assert_eq!(x.work_done, y.work_done, "{label}: work_done of {}", x.name);
-        assert_eq!(x.blocked_time, y.blocked_time, "{label}: blocked of {}", x.name);
+        assert_eq!(
+            x.blocked_time, y.blocked_time,
+            "{label}: blocked of {}",
+            x.name
+        );
         assert_eq!(x.ready_time, y.ready_time, "{label}: ready of {}", x.name);
-        assert_eq!(x.migrations, y.migrations, "{label}: migrations of {}", x.name);
-        assert_eq!(x.preemptions, y.preemptions, "{label}: preemptions of {}", x.name);
+        assert_eq!(
+            x.migrations, y.migrations,
+            "{label}: migrations of {}",
+            x.name
+        );
+        assert_eq!(
+            x.preemptions, y.preemptions,
+            "{label}: preemptions of {}",
+            x.name
+        );
         assert_eq!(x.pmu_total, y.pmu_total, "{label}: PMU of {}", x.name);
-        assert_eq!(x.insts.to_bits(), y.insts.to_bits(), "{label}: insts of {}", x.name);
+        assert_eq!(
+            x.insts.to_bits(),
+            y.insts.to_bits(),
+            "{label}: insts of {}",
+            x.name
+        );
     }
     for (x, y) in a.apps.iter().zip(&b.apps) {
-        assert_eq!(x.turnaround, y.turnaround, "{label}: turnaround of {}", x.name);
+        assert_eq!(
+            x.turnaround, y.turnaround,
+            "{label}: turnaround of {}",
+            x.name
+        );
     }
     assert_eq!(a.core_busy, b.core_busy, "{label}: core busy");
-    assert_eq!(a.telemetry.counters, b.telemetry.counters, "{label}: telemetry");
+    assert_eq!(
+        a.telemetry.counters, b.telemetry.counters,
+        "{label}: telemetry"
+    );
     assert_eq!(a.degradation, b.degradation, "{label}: degradation");
     // Merging must help, never hurt, the event count.
     assert!(
@@ -240,5 +278,8 @@ fn merged_and_unmerged_runs_match_under_fault_injection() {
             assert_outcomes_identical(&merged, &plain, &label);
         }
     }
-    assert!(nonempty >= 6, "fault plans were mostly empty ({nonempty}/8)");
+    assert!(
+        nonempty >= 6,
+        "fault plans were mostly empty ({nonempty}/8)"
+    );
 }

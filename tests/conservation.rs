@@ -19,8 +19,12 @@ fn outcomes(spec: &WorkloadSpec, seed: u64) -> Vec<SimulationOutcome> {
         .unwrap();
         out.push(match run {
             0 => sim.run(&mut CfsScheduler::new(&machine)).unwrap(),
-            1 => sim.run(&mut WashScheduler::new(&machine, model.clone())).unwrap(),
-            _ => sim.run(&mut ColabScheduler::new(&machine, model.clone())).unwrap(),
+            1 => sim
+                .run(&mut WashScheduler::new(&machine, model.clone()))
+                .unwrap(),
+            _ => sim
+                .run(&mut ColabScheduler::new(&machine, model.clone()))
+                .unwrap(),
         });
     }
     out
@@ -40,10 +44,7 @@ fn mixed_spec() -> WorkloadSpec {
 #[test]
 fn total_work_is_scheduler_invariant() {
     let outcomes = outcomes(&mixed_spec(), 3);
-    let works: Vec<u64> = outcomes
-        .iter()
-        .map(|o| o.total_work().as_nanos())
-        .collect();
+    let works: Vec<u64> = outcomes.iter().map(|o| o.total_work().as_nanos()).collect();
     let max = *works.iter().max().unwrap();
     let min = *works.iter().min().unwrap();
     // The retired work is a property of the programs, not of scheduling;
@@ -110,7 +111,11 @@ fn caused_wait_is_conserved_against_blocked_time() {
     // Every nanosecond a thread was blocked-and-woken was charged to some
     // waker; totals must match (no cancelled waits exist in these apps).
     for outcome in outcomes(&mixed_spec(), 7) {
-        let caused: u64 = outcome.threads.iter().map(|t| t.caused_wait.as_nanos()).sum();
+        let caused: u64 = outcome
+            .threads
+            .iter()
+            .map(|t| t.caused_wait.as_nanos())
+            .sum();
         let blocked: u64 = outcome
             .threads
             .iter()

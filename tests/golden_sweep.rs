@@ -36,28 +36,64 @@ fn quick_harness() -> Harness {
 /// Renders every goldened artifact from a harness, in fixture order.
 fn render_all(h: &mut Harness) -> Vec<(&'static str, String)> {
     vec![
-        ("fig4.csv", report::fig4_csv(&experiments::figure4(h).unwrap())),
-        ("fig5.csv", report::group_figure_csv(&experiments::figure5(h).unwrap())),
-        ("fig6.csv", report::group_figure_csv(&experiments::figure6(h).unwrap())),
-        ("fig7.csv", report::group_figure_csv(&experiments::figure7(h).unwrap())),
-        ("fig8.csv", report::group_figure_csv(&experiments::figure8(h).unwrap())),
-        ("fig9.csv", report::group_figure_csv(&experiments::figure9(h).unwrap())),
-        ("summary.csv", report::summary_csv(&experiments::summary(h).unwrap())),
+        (
+            "fig4.csv",
+            report::fig4_csv(&experiments::figure4(h).unwrap()),
+        ),
+        (
+            "fig5.csv",
+            report::group_figure_csv(&experiments::figure5(h).unwrap()),
+        ),
+        (
+            "fig6.csv",
+            report::group_figure_csv(&experiments::figure6(h).unwrap()),
+        ),
+        (
+            "fig7.csv",
+            report::group_figure_csv(&experiments::figure7(h).unwrap()),
+        ),
+        (
+            "fig8.csv",
+            report::group_figure_csv(&experiments::figure8(h).unwrap()),
+        ),
+        (
+            "fig9.csv",
+            report::group_figure_csv(&experiments::figure9(h).unwrap()),
+        ),
+        (
+            "summary.csv",
+            report::summary_csv(&experiments::summary(h).unwrap()),
+        ),
     ]
 }
 
 /// Renders the six extension studies' CSVs, in fixture order.
 fn render_studies(h: &mut Harness) -> Vec<(&'static str, String)> {
     vec![
-        ("ablation.csv", report::ablation_csv(&experiments::ablation(h).unwrap())),
-        ("energy.csv", report::energy_csv(&experiments::energy(h).unwrap())),
-        ("sensitivity.csv", report::sensitivity_csv(&experiments::sensitivity(h).unwrap())),
+        (
+            "ablation.csv",
+            report::ablation_csv(&experiments::ablation(h).unwrap()),
+        ),
+        (
+            "energy.csv",
+            report::energy_csv(&experiments::energy(h).unwrap()),
+        ),
+        (
+            "sensitivity.csv",
+            report::sensitivity_csv(&experiments::sensitivity(h).unwrap()),
+        ),
         (
             "freqsweep.csv",
             report::frequency_sweep_csv(&experiments::frequency_sweep(h).unwrap()),
         ),
-        ("staggered.csv", report::staggered_csv(&experiments::staggered(h).unwrap())),
-        ("faults.csv", report::faults_csv(&experiments::faults(h).unwrap())),
+        (
+            "staggered.csv",
+            report::staggered_csv(&experiments::staggered(h).unwrap()),
+        ),
+        (
+            "faults.csv",
+            report::faults_csv(&experiments::faults(h).unwrap()),
+        ),
     ]
 }
 
@@ -120,7 +156,11 @@ fn parallel_executor_reproduces_golden_at_jobs_1_2_8() {
     for jobs in [1usize, 2, 8] {
         let mut h = quick_harness();
         let report = h.run_plan(&plan, jobs).expect("sweep runs");
-        assert_eq!(report.executed, plan.len(), "jobs={jobs}: fresh harness executes all");
+        assert_eq!(
+            report.executed,
+            plan.len(),
+            "jobs={jobs}: fresh harness executes all"
+        );
         let prewarmed = h.cells_evaluated();
         let rendered = render_all(&mut h);
         assert_eq!(

@@ -56,15 +56,14 @@ fn colab_relabels_after_a_phase_change() {
         trace_capacity: 1 << 16,
         ..SimParams::default()
     };
-    let sim = colab_suite::sim::Simulation::from_apps_with_params(
-        &machine,
-        build_workload(),
-        3,
-        params,
-    )
-    .unwrap();
+    let sim =
+        colab_suite::sim::Simulation::from_apps_with_params(&machine, build_workload(), 3, params)
+            .unwrap();
     let outcome = sim
-        .run(&mut ColabScheduler::new(&machine, SpeedupModel::heuristic()))
+        .run(&mut ColabScheduler::new(
+            &machine,
+            SpeedupModel::heuristic(),
+        ))
         .unwrap();
 
     // Split the chameleon's dispatches at the midpoint of the run and
@@ -108,9 +107,7 @@ fn phase_change_alters_execution_speed() {
         SimParams::default(),
     )
     .unwrap();
-    let outcome = sim
-        .run(&mut CfsScheduler::new(&machine))
-        .unwrap();
+    let outcome = sim.run(&mut CfsScheduler::new(&machine)).unwrap();
     let secs = outcome.makespan.as_secs_f64();
     assert!(
         (0.23..0.26).contains(&secs),

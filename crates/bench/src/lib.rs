@@ -2,11 +2,13 @@
 
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
+
 use amp_perf::SpeedupModel;
-use amp_sim::telemetry::chrome::ChromeTrace;
+use amp_sim::telemetry::chrome::{Arg, ChromeTrace, JsonText, Row};
 use amp_sim::telemetry::SchedEvent;
 use amp_sim::{SimParams, SimulationOutcome, TraceEvent};
-use amp_types::{CoreOrder, MachineConfig, SimTime, ThreadId};
+use amp_types::{CoreId, CoreOrder, MachineConfig, SimTime, ThreadId};
 use amp_workloads::{CompiledWorkload, Scale, WorkloadSpec};
 use colab::{ExperimentConfig, Harness, RunSpec, SchedulerKind};
 
@@ -172,6 +174,9 @@ pub fn chrome_trace_json(spec: &WorkloadSpec, kind: SchedulerKind, scale: f64) -
 /// JSON: one viewer row per core, a slice per dispatch→stop span, and
 /// instant markers for the recorded scheduler decision events. `Pick`
 /// events are omitted — every slice already is one.
+///
+/// Thread names are escaped once per render; every event is then
+/// written into the document without a heap allocation.
 pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome) -> String {
     const PID: u64 = 1;
     let mut trace = ChromeTrace::new();
@@ -183,13 +188,24 @@ pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome)
             &format!("{} core {}", spec.kind, id.index()),
         );
     }
-    let us = |t: SimTime| t.as_nanos() as f64 / 1e3;
-    let thread_name = |t: ThreadId| {
-        outcome
-            .threads
-            .get(t.index())
-            .map_or_else(|| format!("t{}", t.index()), |s| s.name.clone())
+    let names: Vec<JsonText> = outcome
+        .threads
+        .iter()
+        .map(|s| JsonText::new(&s.name))
+        .collect();
+    // Every traced thread has stats; an unknown id is named after it.
+    let thread_name = |t: ThreadId| match names.get(t.index()) {
+        Some(name) => Cow::Borrowed(name),
+        None => Cow::Owned(JsonText::new(&format!("t{}", t.index()))),
     };
+    let thread = |t: ThreadId| Arg::U64(t.index() as u64);
+    let core = |c: CoreId| Arg::U64(c.index() as u64);
+    let rows = |category: &str| -> Vec<Row> {
+        (0..machine.num_cores() as u64)
+            .map(|tid| Row::new(category, PID, tid))
+            .collect()
+    };
+    let (exec, sched) = (rows("exec"), rows("sched"));
 
     let mut open: Vec<Option<(SimTime, ThreadId)>> = vec![None; machine.num_cores()];
     for event in outcome.trace.events() {
@@ -205,16 +221,11 @@ pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome)
             } => {
                 if let Some((from, t)) = open[core.index()].take() {
                     trace.complete(
+                        &exec[core.index()],
                         &thread_name(t),
-                        "exec",
-                        PID,
-                        core.index() as u64,
-                        us(from),
-                        us(at) - us(from),
-                        &[
-                            ("thread", t.index().to_string()),
-                            ("stop", format!("{reason:?}")),
-                        ],
+                        from,
+                        at,
+                        &[("thread", thread(t)), ("stop", Arg::Str(reason.name()))],
                     );
                 }
             }
@@ -224,105 +235,93 @@ pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome)
     for (ci, entry) in open.iter().enumerate() {
         if let Some((from, t)) = *entry {
             trace.complete(
+                &exec[ci],
                 &thread_name(t),
-                "exec",
-                PID,
-                ci as u64,
-                us(from),
-                us(outcome.makespan) - us(from),
-                &[
-                    ("thread", t.index().to_string()),
-                    ("stop", "horizon".into()),
-                ],
+                from,
+                outcome.makespan,
+                &[("thread", thread(t)), ("stop", Arg::Str("horizon"))],
             );
         }
     }
 
     for stamped in &outcome.telemetry_events {
-        let (name, args): (&str, Vec<(&str, String)>) = match stamped.event {
-            SchedEvent::Pick { .. } => continue,
+        let ci = stamped.core.index();
+        let row = sched.get(ci).map_or_else(
+            || Cow::Owned(Row::new("sched", PID, ci as u64)),
+            Cow::Borrowed,
+        );
+        let mut marker = |name: &str, args: &[(&str, Arg<'_>)]| {
+            trace.instant(&row, name, stamped.at, args);
+        };
+        match stamped.event {
+            SchedEvent::Pick { .. } => {}
             SchedEvent::Migrate {
                 thread,
                 from,
                 to,
                 direction,
-            } => (
+            } => marker(
                 "migrate",
-                vec![
-                    ("thread", thread_name(thread)),
-                    ("from", from.index().to_string()),
-                    ("to", to.index().to_string()),
-                    ("dir", direction.label().into()),
+                &[
+                    ("thread", Arg::Text(&thread_name(thread))),
+                    ("from", core(from)),
+                    ("to", core(to)),
+                    ("dir", Arg::Str(direction.label())),
                 ],
             ),
-            SchedEvent::Preempt { victim, cause } => (
+            SchedEvent::Preempt { victim, cause } => marker(
                 "preempt",
-                vec![
-                    ("victim", thread_name(victim)),
-                    ("cause", cause.label().into()),
+                &[
+                    ("victim", Arg::Text(&thread_name(victim))),
+                    ("cause", Arg::Str(cause.label())),
                 ],
             ),
-            SchedEvent::Relabel { thread, from, to } => (
+            SchedEvent::Relabel { thread, from, to } => marker(
                 "relabel",
-                vec![
-                    ("thread", thread_name(thread)),
-                    ("from", from.label().into()),
-                    ("to", to.label().into()),
+                &[
+                    ("thread", Arg::Text(&thread_name(thread))),
+                    ("from", Arg::Str(from.label())),
+                    ("to", Arg::Str(to.label())),
                 ],
             ),
             SchedEvent::SlicePredict {
                 thread,
                 predicted_speedup,
                 slice,
-            } => (
+            } => marker(
                 "slice_predict",
-                vec![
-                    ("thread", thread_name(thread)),
-                    ("speedup", format!("{predicted_speedup:.2}")),
-                    ("slice", slice.to_string()),
+                &[
+                    ("thread", Arg::Text(&thread_name(thread))),
+                    ("speedup", Arg::Fixed2(predicted_speedup)),
+                    ("slice", Arg::Duration(slice)),
                 ],
             ),
             SchedEvent::FutexWake {
                 waker,
                 woken,
                 blocked,
-            } => (
+            } => marker(
                 "futex_wake",
-                vec![
-                    ("waker", thread_name(waker)),
-                    ("woken", thread_name(woken)),
-                    ("blocked", blocked.to_string()),
+                &[
+                    ("waker", Arg::Text(&thread_name(waker))),
+                    ("woken", Arg::Text(&thread_name(woken))),
+                    ("blocked", Arg::Duration(blocked)),
                 ],
             ),
-            SchedEvent::IdleSteal { thread, from } => (
+            SchedEvent::IdleSteal { thread, from } => marker(
                 "idle_steal",
-                vec![
-                    ("thread", thread_name(thread)),
-                    ("from_core", from.index().to_string()),
+                &[
+                    ("thread", Arg::Text(&thread_name(thread))),
+                    ("from_core", core(from)),
                 ],
             ),
-            SchedEvent::CoreOffline { core } => {
-                ("core_offline", vec![("core", core.index().to_string())])
-            }
-            SchedEvent::CoreOnline { core } => {
-                ("core_online", vec![("core", core.index().to_string())])
-            }
-            SchedEvent::Throttle { core, factor } => (
+            SchedEvent::CoreOffline { core: c } => marker("core_offline", &[("core", core(c))]),
+            SchedEvent::CoreOnline { core: c } => marker("core_online", &[("core", core(c))]),
+            SchedEvent::Throttle { core: c, factor } => marker(
                 "throttle",
-                vec![
-                    ("core", core.index().to_string()),
-                    ("factor", format!("{factor:.2}")),
-                ],
+                &[("core", core(c)), ("factor", Arg::Fixed2(factor))],
             ),
-        };
-        trace.instant(
-            name,
-            "sched",
-            PID,
-            stamped.core.index() as u64,
-            us(stamped.at),
-            &args,
-        );
+        }
     }
     trace.into_json()
 }

@@ -34,6 +34,20 @@ pub enum StopReason {
     Stolen,
 }
 
+impl StopReason {
+    /// The variant's name as `Debug` prints it (`"QuantumExpired"`, …),
+    /// from a static table: trace exporters write one per slice.
+    pub const fn name(self) -> &'static str {
+        match self {
+            StopReason::QuantumExpired => "QuantumExpired",
+            StopReason::Preempted => "Preempted",
+            StopReason::Blocked => "Blocked",
+            StopReason::Finished => "Finished",
+            StopReason::Stolen => "Stolen",
+        }
+    }
+}
+
 /// A core's scheduling decision, returned by [`Scheduler::pick_next`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pick {
@@ -264,5 +278,23 @@ pub trait Scheduler: Send {
     fn drain_core(&mut self, ctx: &SchedCtx<'_>, core: CoreId) -> Vec<ThreadId> {
         let _ = (ctx, core);
         Vec::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stop_reason_names_match_debug() {
+        for reason in [
+            StopReason::QuantumExpired,
+            StopReason::Preempted,
+            StopReason::Blocked,
+            StopReason::Finished,
+            StopReason::Stolen,
+        ] {
+            assert_eq!(reason.name(), format!("{reason:?}"));
+        }
     }
 }

@@ -24,12 +24,67 @@ const KINDS: usize = 5;
 /// [`SchedulerKind::name`] by a test.
 const KIND_NAMES: [&str; KINDS] = ["linux", "wash", "colab", "gts", "equal-progress"];
 
-static BUILD_NS: AtomicU64 = AtomicU64::new(0);
-static RUN_NS: [AtomicU64; KINDS] = [const { AtomicU64::new(0) }; KINDS];
-static EVENTS: [AtomicU64; KINDS] = [const { AtomicU64::new(0) }; KINDS];
-static RUNS: [AtomicU64; KINDS] = [const { AtomicU64::new(0) }; KINDS];
-static LEAVES: [AtomicU64; KINDS] = [const { AtomicU64::new(0) }; KINDS];
-static SEGMENTS: [AtomicU64; KINDS] = [const { AtomicU64::new(0) }; KINDS];
+/// Lock-free cost totals: the parallel sweep executor's workers add
+/// into one instance concurrently without coordination.
+#[derive(Debug)]
+struct Accumulator {
+    build_ns: AtomicU64,
+    run_ns: [AtomicU64; KINDS],
+    events: [AtomicU64; KINDS],
+    runs: [AtomicU64; KINDS],
+    leaves: [AtomicU64; KINDS],
+    segments: [AtomicU64; KINDS],
+}
+
+impl Accumulator {
+    const fn new() -> Accumulator {
+        Accumulator {
+            build_ns: AtomicU64::new(0),
+            run_ns: [const { AtomicU64::new(0) }; KINDS],
+            events: [const { AtomicU64::new(0) }; KINDS],
+            runs: [const { AtomicU64::new(0) }; KINDS],
+            leaves: [const { AtomicU64::new(0) }; KINDS],
+            segments: [const { AtomicU64::new(0) }; KINDS],
+        }
+    }
+
+    fn record(
+        &self,
+        kind: SchedulerKind,
+        build_ns: u64,
+        run_ns: u64,
+        events: u64,
+        leaves: u64,
+        segments: u64,
+    ) {
+        let k = kind as usize;
+        self.build_ns.fetch_add(build_ns, Ordering::Relaxed);
+        self.run_ns[k].fetch_add(run_ns, Ordering::Relaxed);
+        self.events[k].fetch_add(events, Ordering::Relaxed);
+        self.runs[k].fetch_add(1, Ordering::Relaxed);
+        self.leaves[k].fetch_add(leaves, Ordering::Relaxed);
+        self.segments[k].fetch_add(segments, Ordering::Relaxed);
+    }
+
+    fn snapshot(&self) -> CostSnapshot {
+        CostSnapshot {
+            build_ns: self.build_ns.load(Ordering::Relaxed),
+            kinds: (0..KINDS)
+                .map(|k| KindCost {
+                    name: KIND_NAMES[k],
+                    run_ns: self.run_ns[k].load(Ordering::Relaxed),
+                    events: self.events[k].load(Ordering::Relaxed),
+                    runs: self.runs[k].load(Ordering::Relaxed),
+                    leaves: self.leaves[k].load(Ordering::Relaxed),
+                    segments: self.segments[k].load(Ordering::Relaxed),
+                })
+                .collect(),
+        }
+    }
+}
+
+/// The process-wide totals behind [`record`] and [`snapshot`].
+static TOTALS: Accumulator = Accumulator::new();
 
 /// Adds one simulation run's costs to the process-wide totals. `leaves`
 /// and `segments` are the run's compute-leaf and compute-event counts
@@ -42,13 +97,7 @@ pub(crate) fn record(
     leaves: u64,
     segments: u64,
 ) {
-    let k = kind as usize;
-    BUILD_NS.fetch_add(build_ns, Ordering::Relaxed);
-    RUN_NS[k].fetch_add(run_ns, Ordering::Relaxed);
-    EVENTS[k].fetch_add(events, Ordering::Relaxed);
-    RUNS[k].fetch_add(1, Ordering::Relaxed);
-    LEAVES[k].fetch_add(leaves, Ordering::Relaxed);
-    SEGMENTS[k].fetch_add(segments, Ordering::Relaxed);
+    TOTALS.record(kind, build_ns, run_ns, events, leaves, segments);
 }
 
 /// One policy's accumulated simulation cost.
@@ -168,19 +217,7 @@ impl CostSnapshot {
 
 /// Snapshots the process-wide counters.
 pub fn snapshot() -> CostSnapshot {
-    CostSnapshot {
-        build_ns: BUILD_NS.load(Ordering::Relaxed),
-        kinds: (0..KINDS)
-            .map(|k| KindCost {
-                name: KIND_NAMES[k],
-                run_ns: RUN_NS[k].load(Ordering::Relaxed),
-                events: EVENTS[k].load(Ordering::Relaxed),
-                runs: RUNS[k].load(Ordering::Relaxed),
-                leaves: LEAVES[k].load(Ordering::Relaxed),
-                segments: SEGMENTS[k].load(Ordering::Relaxed),
-            })
-            .collect(),
-    }
+    TOTALS.snapshot()
 }
 
 #[cfg(test)]
@@ -203,19 +240,20 @@ mod tests {
 
     #[test]
     fn record_accumulates_under_the_right_kind() {
-        // Statics are process-wide and other tests may also record, so
-        // assert on deltas.
-        let before = snapshot();
-        record(SchedulerKind::Gts, 10, 250, 7, 40, 8);
-        record(SchedulerKind::Gts, 5, 750, 3, 20, 2);
-        let after = snapshot();
+        // A private accumulator: other tests record into the process-wide
+        // one concurrently.
+        let totals = Accumulator::new();
+        totals.record(SchedulerKind::Gts, 10, 250, 7, 40, 8);
+        totals.record(SchedulerKind::Gts, 5, 750, 3, 20, 2);
+        let snap = totals.snapshot();
         let k = SchedulerKind::Gts as usize;
-        assert_eq!(after.build_ns - before.build_ns, 15);
-        assert_eq!(after.kinds[k].run_ns - before.kinds[k].run_ns, 1000);
-        assert_eq!(after.kinds[k].events - before.kinds[k].events, 10);
-        assert_eq!(after.kinds[k].runs - before.kinds[k].runs, 2);
-        assert_eq!(after.kinds[k].leaves - before.kinds[k].leaves, 60);
-        assert_eq!(after.kinds[k].segments - before.kinds[k].segments, 10);
+        assert_eq!(snap.build_ns, 15);
+        assert_eq!(snap.kinds[k].run_ns, 1000);
+        assert_eq!(snap.kinds[k].events, 10);
+        assert_eq!(snap.kinds[k].runs, 2);
+        assert_eq!(snap.kinds[k].leaves, 60);
+        assert_eq!(snap.kinds[k].segments, 10);
+        assert_eq!(snap.runs(), 2, "no other policy recorded");
     }
 
     #[test]

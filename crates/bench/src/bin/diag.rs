@@ -23,6 +23,7 @@ use amp_types::{CoreOrder, MachineConfig};
 use amp_workloads::{CompiledWorkload, PaperWorkload, Scale};
 use colab::sweep::parallel_map;
 use colab::{RunSpec, SchedulerKind};
+use colab_bench::{out, outln};
 
 /// Printed by `--help` and after any argument error.
 const USAGE: &str = "\
@@ -94,7 +95,7 @@ fn main() -> ExitCode {
     } = match parse_args() {
         Ok(Some(options)) => options,
         Ok(None) => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             return ExitCode::SUCCESS;
         }
         Err(e) => {
@@ -103,7 +104,7 @@ fn main() -> ExitCode {
         }
     };
     let spec = workload.spec();
-    println!(
+    outln!(
         "workload {} on {big}B{little}S scale {scale}",
         workload.name()
     );
@@ -114,7 +115,7 @@ fn main() -> ExitCode {
     });
     for block in blocks {
         match block {
-            Ok(text) => print!("{text}"),
+            Ok(text) => out!("{text}"),
             Err(e) => {
                 eprintln!("error: {e}");
                 return ExitCode::FAILURE;

@@ -47,6 +47,7 @@ use std::time::Instant;
 use amp_workloads::{BenchmarkId, WorkloadSpec};
 use colab::experiments;
 use colab::SchedulerKind;
+use colab_bench::{out, outln};
 
 /// Printed by `--help` and after any argument error.
 const USAGE: &str = "\
@@ -193,7 +194,7 @@ fn main() -> ExitCode {
     let options = match parse_args() {
         Ok(Some(o)) => o,
         Ok(None) => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             return ExitCode::SUCCESS;
         }
         Err(e) => {
@@ -243,13 +244,13 @@ fn main() -> ExitCode {
     }
 
     if wants("table2") {
-        println!("{}\n", experiments::table2(&harness));
+        outln!("{}\n", experiments::table2(&harness));
     }
     if wants("table3") {
-        println!("{}", experiments::table3());
+        outln!("{}", experiments::table3());
     }
     if wants("table4") {
-        println!("{}", experiments::table4());
+        outln!("{}", experiments::table4());
     }
 
     macro_rules! figure {
@@ -258,7 +259,7 @@ fn main() -> ExitCode {
                 let t = Instant::now();
                 match $f(&mut harness) {
                     Ok(result) => {
-                        println!("{result}");
+                        outln!("{result}");
                         eprintln!("[{} done in {:.1?}]\n", $name, t.elapsed());
                     }
                     Err(e) => {
@@ -287,12 +288,12 @@ fn main() -> ExitCode {
     figure!("faults", experiments::faults);
 
     if wants("summary") {
-        println!("scheduler decision telemetry (pooled over evaluated cells, per run):");
+        outln!("scheduler decision telemetry (pooled over evaluated cells, per run):");
         for (name, report) in harness.telemetry_by_scheduler() {
-            println!("[{name}]");
-            print!("{report}");
+            outln!("[{name}]");
+            out!("{report}");
         }
-        println!();
+        outln!();
     }
 
     // A failed shape claim still writes every requested file; the exit
@@ -301,7 +302,7 @@ fn main() -> ExitCode {
     if wants("check") {
         match experiments::shape_check(&mut harness) {
             Ok(report) => {
-                println!("{report}");
+                outln!("{report}");
                 shapes_hold = report.all_pass();
             }
             Err(e) => {

@@ -25,6 +25,7 @@ use amp_sim::SimParams;
 use amp_types::{CoreOrder, MachineConfig};
 use amp_workloads::{BenchmarkId, CompiledWorkload, PaperWorkload, Scale, WorkloadSpec};
 use colab::{RunSpec, SchedulerKind};
+use colab_bench::{out, outln};
 
 /// Printed by `--help` and after any argument error.
 const USAGE: &str = "\
@@ -75,7 +76,7 @@ fn main() -> ExitCode {
     let (spec, kind, scale) = match parse_args() {
         Ok(Some(parsed)) => parsed,
         Ok(None) => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             return ExitCode::SUCCESS;
         }
         Err(e) => {
@@ -102,7 +103,7 @@ fn main() -> ExitCode {
         }
     };
 
-    println!(
+    outln!(
         "{} under {} on {machine} — makespan {}, {} switches, {} migrations\n",
         spec.name(),
         outcome.scheduler,
@@ -110,14 +111,14 @@ fn main() -> ExitCode {
         outcome.context_switches,
         outcome.migrations
     );
-    print!("{}", outcome.trace.gantt(&machine, outcome.makespan, 100));
+    out!("{}", outcome.trace.gantt(&machine, outcome.makespan, 100));
 
-    println!("\nlegend (letter = thread, sorted by caused-wait):");
+    outln!("\nlegend (letter = thread, sorted by caused-wait):");
     let mut by_wait: Vec<_> = outcome.threads.iter().collect();
     by_wait.sort_by_key(|t| std::cmp::Reverse(t.caused_wait.as_nanos()));
     for t in by_wait.iter().take(12) {
         let letter = (b'A' + (t.id.index() % 26) as u8) as char;
-        println!(
+        outln!(
             "  {letter} {:<20} caused-wait {:>10}  big-share {:>4.2}",
             t.name,
             t.caused_wait.to_string(),
@@ -129,14 +130,14 @@ fn main() -> ExitCode {
         );
     }
     if outcome.trace.dropped() > 0 {
-        println!(
+        outln!(
             "(trace full: {} later events dropped — the chart covers only \
              the traced prefix; raise trace_capacity for longer runs)",
             outcome.trace.dropped()
         );
     }
 
-    println!("\ndecision telemetry:");
-    print!("{}", outcome.telemetry);
+    outln!("\ndecision telemetry:");
+    out!("{}", outcome.telemetry);
     ExitCode::SUCCESS
 }

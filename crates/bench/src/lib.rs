@@ -3,6 +3,7 @@
 #![warn(missing_docs)]
 
 use std::borrow::Cow;
+use std::io::Write as _;
 
 use amp_perf::SpeedupModel;
 use amp_sim::telemetry::chrome::{Arg, ChromeTrace, JsonText, Row};
@@ -11,6 +12,46 @@ use amp_sim::{SimParams, SimulationOutcome, TraceEvent};
 use amp_types::{CoreId, CoreOrder, MachineConfig, SimTime, ThreadId};
 use amp_workloads::{CompiledWorkload, Scale, WorkloadSpec};
 use colab::{ExperimentConfig, Harness, RunSpec, SchedulerKind};
+
+/// Writes formatted text to standard output for the command-line tools,
+/// flushing it at once.
+///
+/// A reader that stops early (`diag … | head -1`) closes the pipe, and
+/// nothing the tool still has to say can reach it: on a broken pipe this
+/// ends the process quietly with status 0, where `print!` would panic.
+/// Any other write error is reported on stderr and ends the process with
+/// status 1.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_fmt(args).and_then(|()| out.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`]: a closed pipe ends the process
+/// quietly instead of panicking.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`]: a closed pipe ends the process
+/// quietly instead of panicking.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// Parses a workload scale given on a command line: a finite, positive
 /// factor (what [`Scale::new`] accepts). The error names the value; the

@@ -10,11 +10,12 @@
 //! float formatter. Times arrive as integer nanoseconds and print as
 //! `{ns / 1000}.{ns % 1000:03}`; event arguments are a borrowed, typed
 //! slice ([`Arg`]); text repeated across events is escaped once
-//! ([`JsonText`]). The bytes are the ones the float formatting of the
-//! same values gives (`{:.3}` of `ns as f64 / 1e3`, and
-//! [`SimDuration`]'s `Display`); where the two could disagree — past
-//! 2^49 ns (about 6.5 simulated days), or on a half-microsecond duration
-//! tie — the writer uses the float formatting itself.
+//! ([`JsonText`]), and so are the fields a viewer row repeats ([`Row`]).
+//! The bytes are the ones the float formatting of the same values gives
+//! (`{:.3}` of `ns as f64 / 1e3`, [`SimDuration`]'s `Display`, `{:.2}`);
+//! where the two could disagree — past 2^49 ns (about 6.5 simulated
+//! days), on a half-microsecond duration, or near a two-decimal tie —
+//! the writer uses the float formatting itself.
 
 use std::fmt::Write as _;
 

@@ -286,13 +286,9 @@ pub fn render_chrome_trace(machine: &MachineConfig, outcome: &SimulationOutcome)
     }
 
     for stamped in &outcome.telemetry_events {
-        let ci = stamped.core.index();
-        let row = sched.get(ci).map_or_else(
-            || Cow::Owned(Row::new("sched", PID, ci as u64)),
-            Cow::Borrowed,
-        );
+        let row = &sched[stamped.core.index()];
         let mut marker = |name: &str, args: &[(&str, Arg<'_>)]| {
-            trace.instant(&row, name, stamped.at, args);
+            trace.instant(row, name, stamped.at, args);
         };
         match stamped.event {
             SchedEvent::Pick { .. } => {}

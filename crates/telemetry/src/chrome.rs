@@ -124,16 +124,19 @@ fn push_u64(out: &mut String, n: u64) {
     push_ascii(out, &buf[start..]);
 }
 
-/// Appends `thousandths / 1000` with exactly three decimals: `12.345`
-/// for 12345, `0.007` for 7.
-fn push_thousandths(out: &mut String, thousandths: u64) {
+/// Appends `n / 10^PLACES` with exactly `PLACES` decimals: `12.345`
+/// for 12345 at three places, `0.07` for 7 at two.
+fn push_decimal<const PLACES: usize>(out: &mut String, mut n: u64) {
     let mut buf = [0u8; 24];
-    let frac = thousandths % 1000;
-    buf[21] = b'0' + (frac / 100) as u8;
-    buf[22] = b'0' + (frac / 10 % 10) as u8;
-    buf[23] = b'0' + (frac % 10) as u8;
-    buf[20] = b'.';
-    let start = digits_before(&mut buf, 20, thousandths / 1000);
+    let mut end = buf.len();
+    for _ in 0..PLACES {
+        end -= 1;
+        buf[end] = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    end -= 1;
+    buf[end] = b'.';
+    let start = digits_before(&mut buf, end, n);
     push_ascii(out, &buf[start..]);
 }
 
@@ -141,7 +144,7 @@ fn push_thousandths(out: &mut String, thousandths: u64) {
 /// bytes of `{:.3}` applied to `ns as f64 / 1e3`.
 fn push_micros(out: &mut String, ns: u64) {
     if ns < EXACT_NS {
-        push_thousandths(out, ns);
+        push_decimal::<3>(out, ns);
     } else {
         let _ = write!(out, "{:.3}", ns as f64 / 1e3);
     }
@@ -153,7 +156,7 @@ fn push_micros(out: &mut String, ns: u64) {
 fn push_span_micros(out: &mut String, start: SimTime, end: SimTime) {
     let (from, to) = (start.as_nanos(), end.as_nanos());
     if from <= to && to < EXACT_NS {
-        push_thousandths(out, to - from);
+        push_decimal::<3>(out, to - from);
     } else {
         let _ = write!(out, "{:.3}", to as f64 / 1e3 - from as f64 / 1e3);
     }
@@ -166,7 +169,7 @@ fn push_span_micros(out: &mut String, start: SimTime, end: SimTime) {
 fn push_duration(out: &mut String, d: SimDuration) {
     let ns = d.as_nanos();
     if ns < EXACT_NS && ns % 1000 != 500 {
-        push_thousandths(out, (ns + 500) / 1000);
+        push_decimal::<3>(out, (ns + 500) / 1000);
         out.push_str("ms");
     } else {
         let _ = write!(out, "{d}");
@@ -185,13 +188,7 @@ fn push_fixed2(out: &mut String, x: f64) {
         let whole = scaled as u64;
         let frac = scaled - whole as f64;
         if (frac - 0.5).abs() > 1e-6 {
-            let hundredths = whole + u64::from(frac > 0.5);
-            let mut buf = [0u8; 24];
-            buf[22] = b'0' + (hundredths / 10 % 10) as u8;
-            buf[23] = b'0' + (hundredths % 10) as u8;
-            buf[21] = b'.';
-            let start = digits_before(&mut buf, 21, hundredths / 100);
-            push_ascii(out, &buf[start..]);
+            push_decimal::<2>(out, whole + u64::from(frac > 0.5));
             return;
         }
     }
@@ -399,6 +396,7 @@ mod tests {
         let json = trace.into_json();
         check_json_object(&json);
         assert!(json.contains("\"traceEvents\""));
+        assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"ts\":0.000,\"dur\":1500.000"));
         assert!(json.contains("\\\"x\\\"\\n"));
     }
